@@ -3,7 +3,6 @@ rotating-wave approximation."""
 
 from .core import (
     AuxParams,
-    SystemParams,
     analytic_evolution,
     final_state_prediction,
     hamiltonian_at,

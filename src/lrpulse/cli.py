@@ -185,6 +185,7 @@ def cmd_tables(args) -> int:
 
 def cmd_synth(args) -> int:
     schedule, info, time_scale, unit = build_schedule(args)
+    _default(args, "samples_per_period", 200)
     spp = int(args.samples_per_period)
     _atomic_write(args.out,
                   lambda tmp: schedule.write_csv(tmp, spp, time_scale))
@@ -211,6 +212,7 @@ def cmd_synth(args) -> int:
 
 def cmd_simulate(args) -> int:
     schedule, info, time_scale, unit = build_schedule(args)
+    _default(args, "steps_per_period", 2000)
     cfg = PropagationConfig(steps_per_carrier_period=int(args.steps_per_period))
     report = propagate(schedule, ket(1), cfg)
     deviation = None
@@ -236,6 +238,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     schedule, info, _, _ = build_schedule(args)
+    _default(args, "steps_per_period", 2000)
     csv = None
     if args.schedule:
         csv = load_schedule_csv(args.schedule)
@@ -276,7 +279,7 @@ def cmd_calibrate_c(args) -> int:
 
 def _add_common(p):
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=float,
                    help="calibration tolerance (default 1e-6)")
 
 
@@ -323,7 +326,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--summary", help="optional JSON summary path")
     p.add_argument("--samples-per-period", dest="samples_per_period",
-                   type=int, default=200)
+                   type=int, help="CSV samples per carrier period (default 200)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate",
@@ -333,7 +336,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="population-trace CSV path")
     p.add_argument("--summary", help="JSON summary path")
     p.add_argument("--steps-per-period", dest="steps_per_period",
-                   type=int, default=2000)
+                   type=int, help="RK4 steps per carrier period (default 2000)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the self-check suites")
@@ -342,7 +345,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", help="also validate this schedule CSV file")
     p.add_argument("--out", help="JSON report path")
     p.add_argument("--steps-per-period", dest="steps_per_period",
-                   type=int, default=2000)
+                   type=int, help="RK4 steps per carrier period (default 2000)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("calibrate-c",
@@ -360,7 +363,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
-        if args.tol <= 0:
+        _default(args, "tol", 1e-6)
+        if float(args.tol) <= 0:
             raise ValueError("tol must be positive")
         return args.func(args)
     except (ValueError, json.JSONDecodeError) as exc:

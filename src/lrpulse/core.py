@@ -11,7 +11,6 @@ accumulated phases. Everything here is a pure function of its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,70 +36,72 @@ def is_normalized(psi: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 @dataclass(frozen=True)
-class SystemParams:
-    """Carrier frequencies plus evaluable envelopes and detunings.
-
-    Envelopes are complex-valued callables of time (angular-frequency units);
-    detunings are real-valued callables. The schedule domain is [t_start,
-    t_end].
-    """
-
-    omega_p: float
-    omega_s: float
-    Omega_p: Callable[[float], complex]
-    Omega_s: Callable[[float], complex]
-    Delta_p: Callable[[float], float]
-    Delta_s: Callable[[float], float]
-    t_start: float
-    t_end: float
-
-    def __post_init__(self):
-        if self.omega_p <= 0 or self.omega_s <= 0:
-            raise ValueError("carrier frequencies must be positive")
-
-
-@dataclass(frozen=True)
 class AuxParams:
-    """Snapshot of the auxiliary angles and their first time-derivatives."""
+    """Auxiliary angles and their first time-derivatives.
+
+    Each field is a float or an array over a time grid; array fields must
+    broadcast against each other.
+    """
 
     alpha: float
     beta: float
     epsilon: float
     lam: float
-    theta: float
     alpha_dot: float = 0.0
     beta_dot: float = 0.0
     epsilon_dot: float = 0.0
     lam_dot: float = 0.0
-    theta_dot: float = 0.0
 
-    def constraint_residual(self) -> float:
+    def constraint_residual(self):
         """Residual of alpha_dot = lam_dot * cos(beta) * cos(epsilon)."""
-        return abs(self.alpha_dot
-                   - self.lam_dot * np.cos(self.beta) * np.cos(self.epsilon))
+        return np.abs(self.alpha_dot
+                      - self.lam_dot * np.cos(self.beta) * np.cos(self.epsilon))
 
 
-def hamiltonian_at(sys: SystemParams, t: float) -> np.ndarray:
-    """Full (non-RWA) Hamiltonian matrix at time t, hbar = 1."""
-    if not sys.t_start <= t <= sys.t_end:
-        raise DomainError(f"t={t} outside schedule domain "
-                          f"[{sys.t_start}, {sys.t_end}]")
-    p = complex(sys.Omega_p(t)) * np.cos(sys.omega_p * t)
-    s = complex(sys.Omega_s(t)) * np.cos(sys.omega_s * t)
-    h11 = -sys.omega_p - sys.Delta_p(t)
-    h33 = -sys.omega_s - sys.Delta_s(t)
-    return np.array([
-        [h11, p, 0.0],
-        [np.conj(p), 0.0, np.conj(s)],
-        [0.0, s, h33],
-    ], dtype=complex)
+def hamiltonian_entries(schedule, t):
+    """Nonzero entries (h11, h12, h32, h33) of the full (non-RWA) Hamiltonian
+    at scalar or array times t, hbar = 1:
+
+        H = [[h11, h12, 0], [conj(h12), 0, conj(h32)], [0, h32, h33]]
+
+    The couplings keep their cos(omega*t) carrier factors and the diagonal is
+    -omega - Delta. Times outside the schedule domain raise DomainError; the
+    domain is widened by a relative 1e-9 because step grids that end at
+    t_end can overshoot it by round-off.
+    """
+    t = np.asarray(t, dtype=float)
+    slack = 1e-9 * max(1.0, abs(schedule.t_start), abs(schedule.t_end))
+    if t.size and not (schedule.t_start - slack <= t.min()
+                       and t.max() <= schedule.t_end + slack):
+        raise DomainError(f"t in [{t.min()}, {t.max()}] outside schedule "
+                          f"domain [{schedule.t_start}, {schedule.t_end}]")
+    h12 = (np.asarray(schedule.Omega_p(t), dtype=complex)
+           * np.cos(schedule.omega_p * t))
+    h32 = (np.asarray(schedule.Omega_s(t), dtype=complex)
+           * np.cos(schedule.omega_s * t))
+    h11 = -schedule.omega_p - np.asarray(schedule.Delta_p(t), dtype=float)
+    h33 = -schedule.omega_s - np.asarray(schedule.Delta_s(t), dtype=float)
+    return h11, h12, h32, h33
+
+
+def hamiltonian_at(schedule, t) -> np.ndarray:
+    """Hamiltonian matrices at scalar or array times t, shape t.shape + (3, 3)."""
+    h11, h12, h32, h33 = hamiltonian_entries(schedule, t)
+    H = np.zeros(np.shape(t) + (3, 3), dtype=complex)
+    H[..., 0, 0] = h11
+    H[..., 0, 1] = h12
+    H[..., 1, 0] = np.conj(h12)
+    H[..., 1, 2] = np.conj(h32)
+    H[..., 2, 1] = h32
+    H[..., 2, 2] = h33
+    return H
 
 
 def invariant_at(aux: AuxParams) -> np.ndarray:
-    """Invariant matrix for the given auxiliary angles (eigenvalues +1, -1, 0)."""
-    a, b, e, l = aux.alpha, aux.beta, aux.epsilon, aux.lam
+    """Invariant matrices (eigenvalues +1, -1, 0), shape angles.shape + (3, 3)."""
+    a, b, e, l = np.broadcast_arrays(aux.alpha, aux.beta, aux.epsilon, aux.lam)
     for name, v in (("alpha", a), ("beta", b), ("epsilon", e), ("lambda", l)):
-        if not np.isfinite(v):
+        if not np.all(np.isfinite(v)):
             raise ValueError(f"non-finite auxiliary angle {name}")
     ca, sa = np.cos(a), np.sin(a)
     cb, sb = np.cos(b), np.sin(b)
@@ -113,71 +114,75 @@ def invariant_at(aux: AuxParams) -> np.ndarray:
     i22 = c2l * sb**2
     i23 = (sa * c2l * cb - np.exp(1j * e) * ca * s2l) * sb
     i33 = c2l * (sa**2 * cb**2 - ca**2) - np.cos(e) * cb * s2a * s2l
-    return np.array([
-        [i11, i12, i13],
-        [np.conj(i12), i22, i23],
-        [np.conj(i13), np.conj(i23), i33],
-    ], dtype=complex)
+    return np.stack([
+        np.stack([i11, i12, i13], axis=-1),
+        np.stack([np.conj(i12), i22, i23], axis=-1),
+        np.stack([np.conj(i13), np.conj(i23), i33], axis=-1),
+    ], axis=-2)
 
 
 def invariant_eigenvectors(aux: AuxParams):
-    """Closed-form eigenvectors (phi_plus, phi_minus, phi_zero).
+    """Closed-form eigenvectors (phi_plus, phi_minus, phi_zero), each of shape
+    angles.shape + (3,).
 
     They belong to eigenvalues +1, -1, 0 of invariant_at(aux) and form an
     orthonormal triple.
     """
-    a, b, e, l = aux.alpha, aux.beta, aux.epsilon, aux.lam
+    a, b, e, l = np.broadcast_arrays(aux.alpha, aux.beta, aux.epsilon, aux.lam)
     ca, sa = np.cos(a), np.sin(a)
     cb, sb = np.cos(b), np.sin(b)
     cl, sl = np.cos(l), np.sin(l)
     ee = np.exp(-1j * e)
-    phi_plus = np.array([ca * cb * cl + ee * sa * sl,
+    phi_plus = np.stack([ca * cb * cl + ee * sa * sl,
                          sb * cl,
-                         sa * cb * cl - ee * ca * sl], dtype=complex)
-    phi_minus = np.array([ca * cb * sl - ee * sa * cl,
+                         sa * cb * cl - ee * ca * sl], axis=-1)
+    phi_minus = np.stack([ca * cb * sl - ee * sa * cl,
                           sb * sl,
-                          sa * cb * sl + ee * ca * cl], dtype=complex)
-    phi_zero = np.array([ca * sb, -cb, sa * sb], dtype=complex)
+                          sa * cb * sl + ee * ca * cl], axis=-1)
+    phi_zero = np.stack([ca * sb, -cb, sa * sb], axis=-1).astype(complex)
     return phi_plus, phi_minus, phi_zero
 
 
-def lr_phase_rate(aux: AuxParams) -> float:
+def lr_phase_rate(aux: AuxParams):
     """Phase-rate parameter tied to the zero-eigenvalue branch.
 
     Evaluates -(epsilon_dot + 2*lam_dot*sin(eps)*cos(beta)*cot(2*alpha)) /
-    sin(beta)^2. Synthesis never calls this at sin(beta) = 0; it inverts the
-    relation instead. Raises SingularityError at the poles.
+    sin(beta)^2, elementwise over array angles. Synthesis never calls this at
+    sin(beta) = 0; it inverts the relation instead. Raises SingularityError
+    if any point sits on a pole.
     """
     sb2 = np.sin(aux.beta) ** 2
-    num = aux.epsilon_dot
-    if aux.lam_dot != 0.0:
-        s2a = np.sin(2 * aux.alpha)
-        if abs(s2a) < _TINY:
-            raise SingularityError("cot(2*alpha) pole with lam_dot != 0")
-        num += (2.0 * aux.lam_dot * np.sin(aux.epsilon) * np.cos(aux.beta)
-                * np.cos(2 * aux.alpha) / s2a)
-    if sb2 < _TINY:
-        if abs(num) < _TINY:
-            return 0.0
+    lam_dot = np.asarray(aux.lam_dot)
+    s2a = np.sin(2 * aux.alpha)
+    driven = lam_dot != 0.0
+    if np.any(driven & (np.abs(s2a) < _TINY)):
+        raise SingularityError("cot(2*alpha) pole with lam_dot != 0")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (2.0 * lam_dot * np.sin(aux.epsilon) * np.cos(aux.beta)
+                 * np.cos(2 * aux.alpha) / s2a)
+    num = aux.epsilon_dot + np.where(driven, cross, 0.0)
+    flat = sb2 < _TINY
+    if np.any(flat & (np.abs(num) >= _TINY)):
         raise SingularityError("sin(beta) = 0 with nonzero phase-rate numerator")
-    return -num / sb2
+    return np.where(flat, 0.0, -num / np.where(flat, 1.0, sb2))[()]
 
 
-def invariance_residual(sys: SystemParams, aux_traj, t: float, h: float) -> float:
-    """Frobenius norm of i*dI/dt - [H(t), I(t)], dI/dt by central difference.
+def invariance_residual(schedule, aux_traj, t, h: float):
+    """Frobenius norm of i*dI/dt - [H(t), I(t)] at scalar or array times t,
+    dI/dt by central difference with step h.
 
     Vanishes as O(h^2) for schedules synthesized from aux_traj.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    H = hamiltonian_at(sys, t)
+    H = hamiltonian_at(schedule, t)
     I = invariant_at(aux_traj.at(t))
     dI = central_diff(lambda u: invariant_at(aux_traj.at(u)), t, h)
-    return float(np.linalg.norm(1j * dI - (H @ I - I @ H)))
+    return np.linalg.norm(1j * dI - (H @ I - I @ H), axis=(-2, -1))[()]
 
 
-def analytic_evolution(aux_traj, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Closed-form state at time t from the invariant eigenbasis expansion.
+def analytic_evolution(aux_traj, psi0: np.ndarray, t) -> np.ndarray:
+    """Closed-form state at scalar or array times t, shape t.shape + (3,).
 
     The initial amplitudes are projections of psi0 on the eigenvectors at the
     trajectory start; each branch then picks up its accumulated phase as
@@ -189,9 +194,13 @@ def analytic_evolution(aux_traj, psi0: np.ndarray, t: float) -> np.ndarray:
     p0, m0, z0 = invariant_eigenvectors(aux_traj.at(aux_traj.t_start))
     cp, cm, cz = np.vdot(p0, psi0), np.vdot(m0, psi0), np.vdot(z0, psi0)
     pt, mt, zt = invariant_eigenvectors(aux_traj.at(t))
-    return (cp * np.exp(1j * aux_traj.phase_plus(t)) * pt
-            + cm * np.exp(1j * aux_traj.phase_minus(t)) * mt
-            + cz * np.exp(1j * aux_traj.phase_zero(t)) * zt)
+
+    def amp(c, phase):
+        return (c * np.exp(1j * phase(t)))[..., None]
+
+    return (amp(cp, aux_traj.phase_plus) * pt
+            + amp(cm, aux_traj.phase_minus) * mt
+            + amp(cz, aux_traj.phase_zero) * zt)
 
 
 def final_state_prediction(alpha: float, epsilon_T: float) -> np.ndarray:

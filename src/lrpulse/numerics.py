@@ -16,17 +16,6 @@ from .errors import ConvergenceError
 _MAX_PANELS = 2**20
 
 
-def _eval(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, falling back to a scalar loop if needed."""
-    try:
-        ys = np.asarray(f(xs), dtype=float)
-        if ys.shape == xs.shape:
-            return ys
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(x)) for x in xs])
-
-
 @dataclass(frozen=True)
 class Bracket:
     """An interval [lo, hi] on which a target function changes sign."""
@@ -73,7 +62,7 @@ def integrate(f: Callable, a: float, b: float, abs_tol: float = 1e-9,
     """Composite Simpson quadrature, panel count doubled until converged.
 
     Convergence means two successive estimates differ by less than abs_tol.
-    f may be vectorized over numpy arrays (preferred) or scalar-only.
+    f is evaluated on arrays of abscissae.
     """
     if abs_tol <= 0:
         raise ValueError("abs_tol must be positive")
@@ -86,7 +75,7 @@ def integrate(f: Callable, a: float, b: float, abs_tol: float = 1e-9,
 
     def simpson(n: int) -> float:
         xs = np.linspace(a, b, n + 1)
-        ys = _eval(f, xs)
+        ys = np.asarray(f(xs), dtype=float)
         h = (b - a) / n
         return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
 
@@ -118,7 +107,8 @@ class RunningIntegral:
 
     The domain is split into uniform cells integrated once with a 7-point
     Gauss-Legendre rule; a partial cell is integrated on demand. Accuracy is
-    at machine level provided f varies over scales no finer than a cell.
+    at machine level provided f varies over scales no finer than a cell. f is
+    evaluated on arrays of abscissae.
     """
 
     def __init__(self, f: Callable, t_start: float, t_end: float, n_cells: int):
@@ -133,7 +123,7 @@ class RunningIntegral:
         a = self._edges[:-1, None]
         b = self._edges[1:, None]
         xs = 0.5 * (a + b) + 0.5 * (b - a) * nodes[None, :]
-        ys = _eval(f, xs.ravel()).reshape(xs.shape)
+        ys = np.asarray(f(xs), dtype=float)
         cell = (ys * weights[None, :]).sum(axis=1) * 0.5 * (b - a)[:, 0]
         self._cum = np.concatenate([[0.0], np.cumsum(cell)])
 
@@ -144,7 +134,7 @@ class RunningIntegral:
         a = self._edges[idx]
         half = 0.5 * (t_arr - a)
         xs = a[:, None] + half[:, None] * (1.0 + self._nodes[None, :])
-        ys = _eval(self._f, xs.ravel()).reshape(xs.shape)
+        ys = np.asarray(self._f(xs), dtype=float)
         partial = (ys * self._weights[None, :]).sum(axis=1) * half
         out = self._cum[idx] + partial
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out

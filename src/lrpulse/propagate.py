@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import analytic_evolution, is_normalized
+from .core import analytic_evolution, hamiltonian_entries, is_normalized
 from .errors import PropagationError
 from .synthesis import TWO_PI, PulseSchedule
 
@@ -79,22 +79,6 @@ class TransferReport:
                          f"{p[2]:.12g},{self.norms[i]:.12g}\n")
 
 
-def _sample_arrays(schedule: PulseSchedule, times: np.ndarray):
-    """Hamiltonian entry samples on a time grid: (h11, h12, h32, h33)."""
-    op = np.asarray(schedule.Omega_p(times), dtype=complex)
-    os_ = np.asarray(schedule.Omega_s(times), dtype=complex)
-    h12 = op * np.cos(schedule.omega_p * times)
-    h32 = os_ * np.cos(schedule.omega_s * times)
-    h11 = -schedule.omega_p - np.asarray(schedule.Delta_p(times), dtype=float)
-    h33 = -schedule.omega_s - np.asarray(schedule.Delta_s(times), dtype=float)
-    for arr in (h11, h12, h32, h33):
-        bad = ~np.isfinite(arr)
-        if np.any(bad):
-            t_bad = times[np.argmax(bad)]
-            raise PropagationError(f"non-finite Hamiltonian sample at t={t_bad!r}")
-    return h11, h12, h32, h33
-
-
 def propagate(schedule: PulseSchedule, psi0: np.ndarray,
               cfg: PropagationConfig | None = None) -> TransferReport:
     """Integrate i d/dt psi = H(t) psi with classical fixed-step RK4."""
@@ -114,11 +98,13 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
 
     # H at every half step; entries as plain python complex for the tight loop
     grid = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
-    a_arr, p_arr, s_arr, d_arr = _sample_arrays(schedule, grid)
-    a = a_arr.tolist()
-    p = p_arr.tolist()
-    s = s_arr.tolist()
-    d = d_arr.tolist()
+    entries = hamiltonian_entries(schedule, grid)
+    for arr in entries:
+        bad = ~np.isfinite(arr)
+        if np.any(bad):
+            t_bad = grid[np.argmax(bad)]
+            raise PropagationError(f"non-finite Hamiltonian sample at t={t_bad!r}")
+    a, p, s, d = (arr.tolist() for arr in entries)
 
     c1, c2, c3 = complex(psi0[0]), complex(psi0[1]), complex(psi0[2])
     rec_t, rec_p, rec_n, rec_s = [], [], [], []
@@ -177,8 +163,12 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
 
 
 def _align_phase(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(ref)))
-    return v * np.exp(1j * (np.angle(ref[i]) - np.angle(v[i])))
+    """v times the global phase that matches it to ref at ref's largest
+    component; both are stacks of states along the last axis."""
+    i = np.argmax(np.abs(ref), axis=-1)[..., None]
+    shift = (np.angle(np.take_along_axis(ref, i, axis=-1))
+             - np.angle(np.take_along_axis(v, i, axis=-1)))
+    return v * np.exp(1j * shift)
 
 
 def compare_with_analytic(schedule: PulseSchedule, aux_traj, psi0: np.ndarray,
@@ -195,12 +185,8 @@ def compare_with_analytic(schedule: PulseSchedule, aux_traj, psi0: np.ndarray,
         record_stride=cfg.record_stride, t_start=t0, t_end=t1,
         record_states=True)
     report = propagate(schedule, psi0, cfg)
-    worst = 0.0
-    for t, state in zip(report.times, report.states):
-        ana = analytic_evolution(aux_traj, psi0, t)
-        dev = float(np.max(np.abs(_align_phase(ana, state) - state)))
-        worst = max(worst, dev)
-    return worst
+    ana = analytic_evolution(aux_traj, psi0, report.times)
+    return float(np.max(np.abs(_align_phase(ana, report.states) - report.states)))
 
 
 def convergence_study(schedule: PulseSchedule, psi0: np.ndarray,

@@ -18,22 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AuxParams, SQRT2, SystemParams
+from .core import AuxParams, SQRT2, lr_phase_rate
 from .errors import CalibrationError, SynthesisError
 from .numerics import Bracket, RunningIntegral, find_root, integrate
 
 TWO_PI = 2.0 * np.pi
 
 KAPPA_SUP = 1.0 / (2.0 * SQRT2)   # supremum of Omega0/omega for strategy C
-
-
-def _scalarize(fn):
-    """Wrap an array-valued closure so scalars in give scalars out."""
-    def wrapper(t):
-        arr = np.asarray(t, dtype=float)
-        out = fn(np.atleast_1d(arr))
-        return out[0] if arr.ndim == 0 else out
-    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +35,11 @@ def _scalarize(fn):
 class AuxiliaryTrajectory:
     """Evaluable auxiliary angles, derivatives, and accumulated branch phases.
 
-    phase_plus / phase_minus / phase_zero are the phases picked up by the
-    +1 / -1 / 0 invariant eigenvectors between t_start and t; they are what
-    analytic_evolution attaches to each branch. They may be None for
-    trajectories that were never paired with a schedule.
+    Every callable takes scalar or array times; theta_dot is the invariant's
+    phase-rate parameter. phase_plus / phase_minus / phase_zero are the
+    phases picked up by the +1 / -1 / 0 invariant eigenvectors between
+    t_start and t; they are what analytic_evolution attaches to each branch.
+    They may be None for trajectories that were never paired with a schedule.
     """
 
     alpha: Callable
@@ -58,7 +50,6 @@ class AuxiliaryTrajectory:
     epsilon_dot: Callable
     lam: Callable
     lam_dot: Callable
-    theta: Callable
     theta_dot: Callable
     t_start: float
     t_end: float
@@ -66,23 +57,20 @@ class AuxiliaryTrajectory:
     phase_minus: Callable | None = None
     phase_zero: Callable | None = None
 
-    def at(self, t: float) -> AuxParams:
+    def at(self, t) -> AuxParams:
         return AuxParams(
-            alpha=float(self.alpha(t)), beta=float(self.beta(t)),
-            epsilon=float(self.epsilon(t)), lam=float(self.lam(t)),
-            theta=float(self.theta(t)),
-            alpha_dot=float(self.alpha_dot(t)), beta_dot=float(self.beta_dot(t)),
-            epsilon_dot=float(self.epsilon_dot(t)), lam_dot=float(self.lam_dot(t)),
-            theta_dot=float(self.theta_dot(t)),
+            alpha=self.alpha(t), beta=self.beta(t),
+            epsilon=self.epsilon(t), lam=self.lam(t),
+            alpha_dot=self.alpha_dot(t), beta_dot=self.beta_dot(t),
+            epsilon_dot=self.epsilon_dot(t), lam_dot=self.lam_dot(t),
         )
 
-    def constraint_residual(self, t: float) -> float:
+    def constraint_residual(self, t):
         return self.at(t).constraint_residual()
 
 
 def _const(value: float) -> Callable:
-    return lambda t: np.full_like(np.asarray(t, dtype=float), value) \
-        if np.asarray(t).ndim else value
+    return lambda t: np.full(np.shape(t), value)
 
 
 def reduced_trajectory(beta: Callable, beta_dot: Callable, omega: float,
@@ -105,7 +93,6 @@ def reduced_trajectory(beta: Callable, beta_dot: Callable, omega: float,
         beta=beta, beta_dot=beta_dot,
         epsilon=eps, epsilon_dot=lambda t: omega * np.sin(beta(t)) ** 2,
         lam=_const(0.0), lam_dot=_const(0.0),
-        theta=lambda t: -omega * (np.asarray(t, dtype=float) - t_start),
         theta_dot=_const(-omega),
         t_start=t_start, t_end=t_end,
         phase_plus=lambda t: omega * (np.asarray(t, dtype=float) - t_start) - eps(t),
@@ -133,13 +120,10 @@ def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
         return alpha0 + alpha(t)
 
     def theta_dot(t):
-        sb2 = np.sin(beta(t)) ** 2
-        a2 = 2.0 * alpha_of(t)
-        num = epsilon_dot(t) + (2.0 * lam_dot(t) * np.sin(epsilon(t))
-                                * np.cos(beta(t)) * np.cos(a2) / np.sin(a2))
-        return -num / sb2
+        return lr_phase_rate(AuxParams(
+            alpha=alpha_of(t), beta=beta(t), epsilon=epsilon(t), lam=lam(t),
+            epsilon_dot=epsilon_dot(t), lam_dot=lam_dot(t)))
 
-    theta = RunningIntegral(theta_dot, t_start, t_end, n_cells)
     phase_zero = RunningIntegral(lambda u: theta_dot(u) * np.sin(beta(u)) ** 2,
                                  t_start, t_end, n_cells)
     return AuxiliaryTrajectory(
@@ -147,8 +131,7 @@ def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
         alpha_dot=lambda t: lam_dot(t) * np.cos(beta(t)) * np.cos(epsilon(t)),
         beta=beta, beta_dot=beta_dot,
         epsilon=epsilon, epsilon_dot=epsilon_dot,
-        lam=lam, lam_dot=lam_dot,
-        theta=theta, theta_dot=theta_dot,
+        lam=lam, lam_dot=lam_dot, theta_dot=theta_dot,
         t_start=t_start, t_end=t_end,
         phase_zero=phase_zero,
     )
@@ -160,7 +143,10 @@ def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Evaluable complex envelopes, detunings, and carrier frequencies."""
+    """Evaluable complex envelopes, detunings, and carrier frequencies.
+
+    Envelopes and detunings are callables of scalar or array times.
+    """
 
     omega_p: float
     omega_s: float
@@ -174,23 +160,16 @@ class PulseSchedule:
     params: dict = field(default_factory=dict)
     trajectory: AuxiliaryTrajectory | None = None
 
+    def __post_init__(self):
+        if self.omega_p <= 0 or self.omega_s <= 0:
+            raise ValueError("carrier frequencies must be positive")
+
     @property
     def omega(self) -> float:
         """Common carrier frequency (strategies all use omega_p = omega_s)."""
         if self.omega_p != self.omega_s:
             raise ValueError("schedule has distinct carrier frequencies")
         return self.omega_p
-
-    def Delta(self, t):
-        """Two-photon-resonant common detuning."""
-        return self.Delta_p(t)
-
-    def as_system(self) -> SystemParams:
-        return SystemParams(
-            omega_p=self.omega_p, omega_s=self.omega_s,
-            Omega_p=self.Omega_p, Omega_s=self.Omega_s,
-            Delta_p=self.Delta_p, Delta_s=self.Delta_s,
-            t_start=self.t_start, t_end=self.t_end)
 
     def header(self) -> dict:
         return {"schema_version": 1, "omega": self.omega_p,
@@ -222,13 +201,22 @@ class PulseSchedule:
 
 
 def load_schedule_csv(path):
-    """Read back a schedule CSV: (header dict, record array of columns)."""
+    """Read back a schedule CSV: (header dict, record array of columns).
+
+    Raises ValueError naming the data row and column of the first cell that
+    is not a finite number.
+    """
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("# "):
             raise ValueError(f"{path}: missing JSON header line")
         meta = json.loads(first[2:])
         data = np.genfromtxt(fh, delimiter=",", names=True)
+    for name in data.dtype.names:
+        bad = np.flatnonzero(~np.isfinite(data[name]))
+        if bad.size:
+            raise ValueError(f"{path}: data row {bad[0] + 1}, column {name!r}: "
+                             "not a finite number")
     return meta, data
 
 
@@ -309,7 +297,7 @@ def synthesize_general(aux: AuxiliaryTrajectory, omega_p: float,
                     / (-carrier * np.sin(carrier * tz))
                 val = np.where(near, lim, val)
             return val
-        return _scalarize(fn)
+        return fn
 
     def delta_p(t):
         a, b = aux.alpha(t), aux.beta(t)
@@ -332,7 +320,7 @@ def synthesize_general(aux: AuxiliaryTrajectory, omega_p: float,
     return PulseSchedule(
         omega_p=omega_p, omega_s=omega_s,
         Omega_p=quotient(num_p, omega_p), Omega_s=quotient(num_s, omega_s),
-        Delta_p=_scalarize(delta_p), Delta_s=_scalarize(delta_s),
+        Delta_p=delta_p, Delta_s=delta_s,
         t_start=aux.t_start, t_end=aux.t_end,
         strategy="general", params={}, trajectory=aux)
 
@@ -380,11 +368,9 @@ def strategy_a(A: float, omega: float, T: float) -> PulseSchedule:
         return -2.0 * omega * np.sin(beta(t)) ** 2
 
     traj = reduced_trajectory(beta, beta_dot, omega, 0.0, T)
-    env = _scalarize(envelope)
-    dlt = _scalarize(delta)
     return PulseSchedule(
-        omega_p=omega, omega_s=omega, Omega_p=env, Omega_s=env,
-        Delta_p=dlt, Delta_s=dlt, t_start=0.0, t_end=T,
+        omega_p=omega, omega_s=omega, Omega_p=envelope, Omega_s=envelope,
+        Delta_p=delta, Delta_s=delta, t_start=0.0, t_end=T,
         strategy="a", params={"A": A, "omega_T": omega * T},
         trajectory=traj)
 
@@ -485,11 +471,9 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
         return -2.0 * omega * np.sin(f(t)) ** 2
 
     traj = reduced_trajectory(f, fdot, omega, 0.0, T)
-    env = _scalarize(envelope)
-    dlt = _scalarize(delta)
     return PulseSchedule(
-        omega_p=omega, omega_s=omega, Omega_p=env, Omega_s=env,
-        Delta_p=dlt, Delta_s=dlt, t_start=0.0, t_end=T,
+        omega_p=omega, omega_s=omega, Omega_p=envelope, Omega_s=envelope,
+        Delta_p=delta, Delta_s=delta, t_start=0.0, t_end=T,
         strategy="b",
         params={"B": B, "omega_T": omega * T, "delta_t_over_T": delta_t / T,
                 "neglect_imag": neglect_imag,
@@ -548,11 +532,9 @@ def strategy_c(Omega0: float, omega: float, n_periods: int) -> PulseSchedule:
         return -2.0 * omega * np.sin(beta(t)) ** 2
 
     traj = reduced_trajectory(beta, beta_dot, omega, t_start, t_end)
-    env = _scalarize(envelope)
-    dlt = _scalarize(delta)
     return PulseSchedule(
-        omega_p=omega, omega_s=omega, Omega_p=env, Omega_s=env,
-        Delta_p=dlt, Delta_s=dlt, t_start=t_start, t_end=t_end,
+        omega_p=omega, omega_s=omega, Omega_p=envelope, Omega_s=envelope,
+        Delta_p=delta, Delta_s=delta, t_start=t_start, t_end=t_end,
         strategy="c",
         params={"Omega0_over_omega": kappa, "n_periods": int(n_periods)},
         trajectory=traj)

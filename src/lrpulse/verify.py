@@ -3,6 +3,8 @@ agreement between the closed-form expansion and direct integration."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .core import (hamiltonian_at, invariance_residual, invariant_at,
@@ -37,49 +39,40 @@ def _interior_times(schedule: PulseSchedule, n: int, margin: float) -> np.ndarra
 def check_spectrum(schedule: PulseSchedule, n_samples: int = 25) -> dict:
     """Invariant hermiticity, eigenvalues {-1, 0, 1}, and eigenvector
     orthonormality along the trajectory."""
-    traj = schedule.trajectory
-    worst_eig = 0.0
-    worst_gram = 0.0
-    worst_resid = 0.0
-    worst_herm = 0.0
-    for t in np.linspace(schedule.t_start, schedule.t_end, n_samples):
-        aux = traj.at(t)
-        I = invariant_at(aux)
-        worst_herm = max(worst_herm, float(np.max(np.abs(I - I.conj().T))))
-        eigs = np.sort(np.linalg.eigvalsh(I))
-        worst_eig = max(worst_eig, float(np.max(np.abs(eigs - [-1.0, 0.0, 1.0]))))
-        vecs = invariant_eigenvectors(aux)
-        V = np.column_stack(vecs)
-        worst_gram = max(worst_gram,
-                         float(np.max(np.abs(V.conj().T @ V - np.eye(3)))))
-        for mu, v in zip((1.0, -1.0, 0.0), vecs):
-            worst_resid = max(worst_resid,
-                              float(np.linalg.norm(I @ v - mu * v)))
+    aux = schedule.trajectory.at(
+        np.linspace(schedule.t_start, schedule.t_end, n_samples))
+    I = invariant_at(aux)
+    V = np.stack(invariant_eigenvectors(aux), axis=-1)   # columns +1, -1, 0
+    herm = float(np.max(np.abs(I - np.conj(np.swapaxes(I, -1, -2)))))
+    eig = float(np.max(np.abs(np.linalg.eigvalsh(I) - [-1.0, 0.0, 1.0])))
+    gram = float(np.max(np.abs(np.conj(np.swapaxes(V, -1, -2)) @ V
+                               - np.eye(3))))
+    resid = float(np.max(np.linalg.norm(I @ V - V * [1.0, -1.0, 0.0],
+                                        axis=-2)))
     return {
-        "hermiticity": worst_herm,
-        "eigenvalue_deviation": worst_eig,
-        "gram_deviation": worst_gram,
-        "eigenvector_residual": worst_resid,
-        "passed": bool(worst_eig < EIGENVALUE_TOL
-                       and worst_gram < ORTHONORMALITY_TOL
-                       and worst_resid < ORTHONORMALITY_TOL
-                       and worst_herm < ORTHONORMALITY_TOL),
+        "hermiticity": herm,
+        "eigenvalue_deviation": eig,
+        "gram_deviation": gram,
+        "eigenvector_residual": resid,
+        "passed": bool(eig < EIGENVALUE_TOL
+                       and gram < ORTHONORMALITY_TOL
+                       and resid < ORTHONORMALITY_TOL
+                       and herm < ORTHONORMALITY_TOL),
     }
 
 
 def check_invariance(schedule: PulseSchedule, n_samples: int = 50) -> dict:
     """Invariance residual at small h, plus its quadratic decay in h."""
     traj = schedule.trajectory
-    sys = schedule.as_system()
     omega = schedule.omega_p
     span = schedule.t_end - schedule.t_start
     h_small = span * 1e-6
     period = TWO_PI / omega
     h_slope = period * 1e-2
     ts = _interior_times(schedule, n_samples, margin=2 * h_slope)
-    worst = max(invariance_residual(sys, traj, t, h_small) for t in ts)
+    worst = float(np.max(invariance_residual(schedule, traj, ts, h_small)))
     t_mid = ts[len(ts) // 2]
-    resid = [invariance_residual(sys, traj, t_mid, h_slope / 2 ** i)
+    resid = [invariance_residual(schedule, traj, t_mid, h_slope / 2 ** i)
              for i in range(3)]
     if resid[0] < 1e-12 * omega:
         # residual already at round-off for the coarsest h; no decay to measure
@@ -96,19 +89,21 @@ def check_invariance(schedule: PulseSchedule, n_samples: int = 50) -> dict:
     }
 
 
-def lr_phase_rates_numeric(schedule: PulseSchedule, t: float,
-                           h: float | None = None) -> tuple[float, float, float]:
-    """Accumulated-phase rates of the three invariant eigenvectors at t,
-    from finite-differenced eigenvectors and the schedule Hamiltonian."""
+def lr_phase_rates_numeric(schedule: PulseSchedule, t,
+                           h: float | None = None) -> tuple:
+    """Accumulated-phase rates (plus, minus, zero) of the three invariant
+    eigenvectors at scalar or array times t, from finite-differenced
+    eigenvectors and the schedule Hamiltonian."""
     traj = schedule.trajectory
     h = h or (TWO_PI / schedule.omega_p) * 1e-6
-    H = hamiltonian_at(schedule.as_system(), t)
-    rates = []
-    for idx in range(3):
-        phi = lambda u: invariant_eigenvectors(traj.at(u))[idx]
-        dphi = central_diff(phi, t, h)
-        rates.append(float(np.real(np.vdot(phi(t), 1j * dphi - H @ phi(t)))))
-    return tuple(rates)
+
+    def phi(u):
+        return np.stack(invariant_eigenvectors(traj.at(u)), axis=-1)
+
+    P = phi(t)
+    R = 1j * central_diff(phi, t, h) - hamiltonian_at(schedule, t) @ P
+    rates = np.sum(np.conj(P) * R, axis=-2).real
+    return tuple(np.moveaxis(rates, -1, 0))
 
 
 def check_phase_consistency(schedule: PulseSchedule, n_samples: int = 20) -> dict:
@@ -117,15 +112,12 @@ def check_phase_consistency(schedule: PulseSchedule, n_samples: int = 20) -> dic
     traj = schedule.trajectory
     omega = schedule.omega_p
     period = TWO_PI / omega
-    ts = _interior_times(schedule, n_samples, margin=2 * period * 1e-4)
-    worst = 0.0
-    for t in ts:
-        measured = lr_phase_rates_numeric(schedule, t)
-        h = period * 1e-4
-        declared = (central_diff(traj.phase_plus, t, h),
-                    central_diff(traj.phase_minus, t, h),
-                    central_diff(traj.phase_zero, t, h))
-        worst = max(worst, max(abs(m - d) for m, d in zip(measured, declared)))
+    h = period * 1e-4
+    ts = _interior_times(schedule, n_samples, margin=2 * h)
+    measured = np.stack(lr_phase_rates_numeric(schedule, ts))
+    declared = np.stack([central_diff(phase, ts, h) for phase in
+                         (traj.phase_plus, traj.phase_minus, traj.phase_zero)])
+    worst = float(np.max(np.abs(measured - declared)))
     return {
         "max_rate_mismatch_over_omega": worst / omega,
         "passed": bool(worst / omega < PHASE_TOL_OVER_OMEGA),
@@ -154,25 +146,25 @@ def check_file_invariance(schedule: PulseSchedule, meta: dict,
     far looser than for closed-form schedules; it still cleanly separates an
     intact file from a corrupted one.
     """
-    from .core import SystemParams
     scale = (schedule.t_end - schedule.t_start) / (data["t"][-1] - data["t"][0]) \
         if data["t"][-1] != data["t"][0] else 1.0
     ts_file = data["t"] * scale
     op = data["re_omega_p"] + 1j * data["im_omega_p"]
     os_ = data["re_omega_s"] + 1j * data["im_omega_s"]
-    sys = SystemParams(
-        omega_p=schedule.omega_p, omega_s=schedule.omega_s,
+
+    from_file = dataclasses.replace(
+        schedule,
         Omega_p=lambda t: np.interp(t, ts_file, op.real)
         + 1j * np.interp(t, ts_file, op.imag),
         Omega_s=lambda t: np.interp(t, ts_file, os_.real)
         + 1j * np.interp(t, ts_file, os_.imag),
         Delta_p=lambda t: np.interp(t, ts_file, data["delta"]),
-        Delta_s=lambda t: np.interp(t, ts_file, data["delta"]),
-        t_start=schedule.t_start, t_end=schedule.t_end)
+        Delta_s=lambda t: np.interp(t, ts_file, data["delta"]))
     omega = schedule.omega_p
     h = (schedule.t_end - schedule.t_start) * 1e-6
     ts = _interior_times(schedule, n_samples, margin=2 * h)
-    worst = max(invariance_residual(sys, schedule.trajectory, t, h) for t in ts)
+    worst = float(np.max(invariance_residual(from_file, schedule.trajectory,
+                                             ts, h)))
     return {
         "max_residual_over_omega": worst / omega,
         "passed": bool(worst / omega < FILE_RESIDUAL_TOL_OVER_OMEGA),

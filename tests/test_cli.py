@@ -121,6 +121,20 @@ class TestVerify:
         assert main(["verify", "--strategy", "a", "--A", "0.5",
                      "--schedule", str(sched)]) == EXIT_OK
 
+    def test_unparseable_cell_fails(self, tmp_path, capsys):
+        sched = tmp_path / "s.csv"
+        assert main(["synth", "--strategy", "a", "--A", "0.5",
+                     "--out", str(sched)]) == EXIT_OK
+        lines = sched.read_text().splitlines()
+        f = lines[12].split(",")
+        f[1] = "abc"
+        lines[12] = ",".join(f)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--strategy", "a", "--A", "0.5",
+                     "--schedule", str(bad)]) == EXIT_VALIDATION
+        assert "data row 11, column 're_omega_p'" in capsys.readouterr().err
+
 
 class TestCalibrateC:
     def test_default_target(self, tmp_path):
@@ -146,6 +160,22 @@ class TestConfigFile:
         info = json.loads(summ.read_text())
         assert info["schedule"]["params"]["n_periods"] == 2
         assert info["schedule"]["params"]["Omega0_over_omega"] == pytest.approx(0.3)
+
+    def test_config_sets_flags_with_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        base = {"strategy": "c", "Omega0_over_omega": 0.3, "n_periods": 1}
+        summ = tmp_path / "s.json"
+        cfg.write_text(json.dumps({**base, "steps_per_period": 100}))
+        assert main(["simulate", "--config", str(cfg),
+                     "--summary", str(summ)]) == EXIT_OK
+        assert json.loads(summ.read_text())["steps_per_carrier_period"] == 100
+        out = tmp_path / "o.csv"
+        cfg.write_text(json.dumps({**base, "samples_per_period": 10}))
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert len(read_rows(out)) == 11
+        cfg.write_text(json.dumps({**base, "tol": -1.0}))
+        assert main(["synth", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,29 +3,29 @@
 import numpy as np
 import pytest
 
-from lrpulse import (AuxParams, SystemParams, final_state_prediction,
-                     hamiltonian_at, invariant_at, invariant_eigenvectors,
-                     ket, lr_phase_rate)
+from lrpulse import (AuxParams, PulseSchedule, analytic_evolution,
+                     final_state_prediction, hamiltonian_at,
+                     invariance_residual, invariant_at, invariant_eigenvectors,
+                     ket, lr_phase_rate, strategy_c)
 from lrpulse.errors import DomainError, SingularityError
+from lrpulse.verify import lr_phase_rates_numeric
 
 
-def random_aux(rng) -> AuxParams:
-    return AuxParams(
-        alpha=rng.uniform(-np.pi, np.pi),
-        beta=rng.uniform(-np.pi, np.pi),
-        epsilon=rng.uniform(-np.pi, np.pi),
-        lam=rng.uniform(-np.pi, np.pi),
-        theta=rng.uniform(-np.pi, np.pi))
+def random_aux(rng, n: int) -> AuxParams:
+    """n random angle sets, drawn five to a row; the fifth draw of each row
+    is unused, so every seed keeps the angles it has always produced."""
+    alpha, beta, epsilon, lam, _ = rng.uniform(-np.pi, np.pi, size=(n, 5)).T
+    return AuxParams(alpha=alpha, beta=beta, epsilon=epsilon, lam=lam)
 
 
-def simple_system() -> SystemParams:
-    return SystemParams(
-        omega_p=10.0, omega_s=10.0,
+def simple_schedule(omega_p=10.0) -> PulseSchedule:
+    return PulseSchedule(
+        omega_p=omega_p, omega_s=10.0,
         Omega_p=lambda t: 0.3 + 0.1j,
         Omega_s=lambda t: 0.2 - 0.05j,
         Delta_p=lambda t: -0.4,
         Delta_s=lambda t: -0.4,
-        t_start=0.0, t_end=1.0)
+        t_start=0.0, t_end=1.0, strategy="test")
 
 
 class TestKet:
@@ -41,91 +41,108 @@ class TestKet:
 
 class TestHamiltonian:
     def test_hermitian(self):
-        H = hamiltonian_at(simple_system(), 0.37)
+        H = hamiltonian_at(simple_schedule(), 0.37)
         assert np.max(np.abs(H - H.conj().T)) == 0.0
 
     def test_no_direct_1_3_coupling(self):
-        H = hamiltonian_at(simple_system(), 0.5)
+        H = hamiltonian_at(simple_schedule(), 0.5)
         assert H[0, 2] == 0.0 and H[2, 0] == 0.0
 
     def test_carrier_factor(self):
-        sys = simple_system()
-        H = hamiltonian_at(sys, 0.25)
+        H = hamiltonian_at(simple_schedule(), 0.25)
         assert H[0, 1] == pytest.approx((0.3 + 0.1j) * np.cos(10.0 * 0.25))
 
     def test_diagonal(self):
-        H = hamiltonian_at(simple_system(), 0.0)
+        H = hamiltonian_at(simple_schedule(), 0.0)
         assert H[0, 0] == pytest.approx(-10.0 + 0.4)
         assert H[1, 1] == 0.0
 
     def test_outside_domain(self):
         with pytest.raises(DomainError):
-            hamiltonian_at(simple_system(), 2.0)
+            hamiltonian_at(simple_schedule(), 2.0)
 
     def test_bad_carrier(self):
         with pytest.raises(ValueError):
-            SystemParams(omega_p=-1.0, omega_s=1.0,
-                         Omega_p=lambda t: 0.0, Omega_s=lambda t: 0.0,
-                         Delta_p=lambda t: 0.0, Delta_s=lambda t: 0.0,
-                         t_start=0.0, t_end=1.0)
+            simple_schedule(omega_p=-1.0)
 
 
 class TestInvariant:
     def test_spectrum_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            I = invariant_at(random_aux(rng))
-            assert np.max(np.abs(I - I.conj().T)) < 1e-14
-            eigs = np.sort(np.linalg.eigvalsh(I))
-            assert np.max(np.abs(eigs - [-1.0, 0.0, 1.0])) < 1e-12
+        I = invariant_at(random_aux(np.random.default_rng(3), 300))
+        assert np.max(np.abs(I - np.conj(np.swapaxes(I, -1, -2)))) < 1e-14
+        eigs = np.linalg.eigvalsh(I)
+        assert np.max(np.abs(eigs - [-1.0, 0.0, 1.0])) < 1e-12
 
     def test_eigenvectors_random(self):
-        rng = np.random.default_rng(4)
-        for _ in range(300):
-            aux = random_aux(rng)
-            I = invariant_at(aux)
-            vp, vm, vz = invariant_eigenvectors(aux)
-            V = np.column_stack([vp, vm, vz])
-            assert np.max(np.abs(V.conj().T @ V - np.eye(3))) < 1e-13
-            for mu, v in ((1.0, vp), (-1.0, vm), (0.0, vz)):
-                assert np.linalg.norm(I @ v - mu * v) < 1e-13
+        aux = random_aux(np.random.default_rng(4), 300)
+        I = invariant_at(aux)
+        V = np.stack(invariant_eigenvectors(aux), axis=-1)
+        gram = np.conj(np.swapaxes(V, -1, -2)) @ V
+        assert np.max(np.abs(gram - np.eye(3))) < 1e-13
+        resid = I @ V - V * [1.0, -1.0, 0.0]   # columns: eigenvalues +1, -1, 0
+        assert np.max(np.linalg.norm(resid, axis=-2)) < 1e-13
 
     def test_non_finite_angle(self):
         with pytest.raises(ValueError):
             invariant_at(AuxParams(alpha=np.nan, beta=0.0, epsilon=0.0,
-                                   lam=0.0, theta=0.0))
+                                   lam=0.0))
+
+
+class TestBatched:
+    def test_batched_matches_pointwise(self):
+        # numpy's array and scalar loops for cos/arcsin may differ in the last
+        # bit; h is large enough that the finite differences do not magnify
+        # that past the 1e-14 bound
+        h = 0.05
+        sch = strategy_c(0.3, 1.0, 2)
+        traj = sch.trajectory
+        funcs = {
+            "invariant_at": lambda t: invariant_at(traj.at(t)),
+            "invariant_eigenvectors": lambda t: np.stack(
+                invariant_eigenvectors(traj.at(t)), axis=-1),
+            "analytic_evolution": lambda t: analytic_evolution(traj, ket(1), t),
+            "invariance_residual": lambda t: invariance_residual(sch, traj, t, h),
+            "lr_phase_rates_numeric": lambda t: np.stack(
+                lr_phase_rates_numeric(sch, t, h), axis=-1),
+        }
+        ts = np.linspace(sch.t_start + 0.1, sch.t_end - 0.1, 17)
+        for name, f in funcs.items():
+            got = f(ts)
+            ref = np.array([f(t) for t in ts])
+            assert got.shape == ref.shape, name
+            assert np.max(np.abs(got - ref)) < 1e-14, name
 
 
 class TestConstraint:
     def test_residual(self):
-        aux = AuxParams(alpha=0.3, beta=0.2, epsilon=0.1, lam=0.0, theta=0.0,
+        aux = AuxParams(alpha=0.3, beta=0.2, epsilon=0.1, lam=0.0,
                         alpha_dot=np.cos(0.2) * np.cos(0.1) * 0.7, lam_dot=0.7)
         assert aux.constraint_residual() < 1e-15
-        off = AuxParams(alpha=0.3, beta=0.2, epsilon=0.1, lam=0.0, theta=0.0,
+        off = AuxParams(alpha=0.3, beta=0.2, epsilon=0.1, lam=0.0,
                         alpha_dot=1.0, lam_dot=0.0)
         assert off.constraint_residual() == pytest.approx(1.0)
 
 
 class TestPhaseRate:
     def test_quotient_value(self):
-        aux = AuxParams(alpha=0.4, beta=0.9, epsilon=0.2, lam=0.1, theta=0.0,
+        aux = AuxParams(alpha=0.4, beta=0.9, epsilon=0.2, lam=0.1,
                         epsilon_dot=0.5, lam_dot=0.3)
         expected = -(0.5 + 2.0 * 0.3 * np.sin(0.2) * np.cos(0.9)
                      / np.tan(0.8)) / np.sin(0.9) ** 2
         assert lr_phase_rate(aux) == pytest.approx(expected)
 
     def test_regular_zero(self):
-        aux = AuxParams(alpha=0.4, beta=0.0, epsilon=0.0, lam=0.0, theta=0.0)
+        aux = AuxParams(alpha=0.4, beta=0.0, epsilon=0.0, lam=0.0)
         assert lr_phase_rate(aux) == 0.0
 
     def test_pole_at_sin_beta_zero(self):
-        aux = AuxParams(alpha=0.4, beta=0.0, epsilon=0.0, lam=0.0, theta=0.0,
+        aux = AuxParams(alpha=0.4, beta=0.0, epsilon=0.0, lam=0.0,
                         epsilon_dot=1.0)
         with pytest.raises(SingularityError):
             lr_phase_rate(aux)
 
     def test_cot_pole(self):
-        aux = AuxParams(alpha=0.0, beta=0.5, epsilon=0.3, lam=0.0, theta=0.0,
+        aux = AuxParams(alpha=0.0, beta=0.5, epsilon=0.3, lam=0.0,
                         lam_dot=1.0)
         with pytest.raises(SingularityError):
             lr_phase_rate(aux)

@@ -1,5 +1,7 @@
 """Tests for the RK4 propagator and its reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from lrpulse import (PropagationConfig, compare_with_analytic,
                      strategy_c)
 from lrpulse.errors import PropagationError
 from lrpulse.synthesis import PulseSchedule, reduced_trajectory
+from lrpulse.verify import check_analytic_agreement, check_invariance
 
 
 def zero_schedule(omega=1.0, n_periods=2):
@@ -105,6 +108,38 @@ class TestAnalyticComparison:
                                   1.0, sch.t_start, sch.t_start + 1.0)
         with pytest.raises(ValueError):
             compare_with_analytic(sch, traj, ket(1))
+
+
+def _nan_near(fn, t_bad, width):
+    def wrapped(t):
+        return np.where(np.abs(t - t_bad) < width, np.nan, fn(t))
+    return wrapped
+
+
+def _nan_phase_at_one_record(sch):
+    # 500 steps/period records every span/20; NaN at the 7th record only
+    span = sch.t_end - sch.t_start
+    traj = sch.trajectory
+    bad = dataclasses.replace(traj, phase_zero=_nan_near(
+        traj.phase_zero, sch.t_start + 7 * span / 20, span / 80))
+    return check_analytic_agreement(dataclasses.replace(sch, trajectory=bad),
+                                    steps_per_period=500), "max_deviation"
+
+
+def _nan_detuning_at_one_sample(sch):
+    t_sample = np.linspace(sch.t_start, sch.t_end, 52)[11]
+    bad = dataclasses.replace(sch, Delta_p=_nan_near(sch.Delta_p, t_sample,
+                                                     1e-9))
+    return check_invariance(bad), "max_residual_over_omega"
+
+
+@pytest.mark.parametrize("corrupt", [_nan_phase_at_one_record,
+                                     _nan_detuning_at_one_sample],
+                         ids=["analytic_phase", "invariance_detuning"])
+def test_nan_diagnostic_fails(corrupt):
+    result, key = corrupt(strategy_c(0.3, 1.0, 2))
+    assert np.isnan(result[key])
+    assert result["passed"] is False
 
 
 class TestConvergence:

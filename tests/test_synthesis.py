@@ -87,9 +87,8 @@ class TestSynthesizeGeneral:
                                   lam, lam_dot, t0, t1)
         sch = synthesize_general(traj, w, w)
         from lrpulse import invariance_residual
-        sys = sch.as_system()
         for t in np.linspace(t0 + 0.02, t1 - 0.02, 9):
-            assert invariance_residual(sys, traj, t, 1e-7) < 1e-7
+            assert invariance_residual(sch, traj, t, 1e-7) < 1e-7
             assert traj.constraint_residual(t) < 1e-9
 
 
