@@ -26,6 +26,7 @@ from .propagate import (
     TransferReport,
     compare_with_analytic,
     convergence_study,
+    deviation_from_analytic,
     propagate,
 )
 from .verify import run_verification

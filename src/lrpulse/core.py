@@ -69,7 +69,8 @@ def hamiltonian_entries(schedule, t):
     from H, such as the invariant-branch phases, is relative to it. Times
     outside the schedule domain raise DomainError; the domain is widened by
     a relative 1e-9 because step grids that end at t_end can overshoot it by
-    round-off.
+    round-off. A closure shared by pump and Stokes (Omega_s is Omega_p at
+    equal carriers, Delta_s is Delta_p) is evaluated once.
     """
     t = np.asarray(t, dtype=float)
     slack = 1e-9 * max(1.0, abs(schedule.t_start), abs(schedule.t_end))
@@ -79,11 +80,16 @@ def hamiltonian_entries(schedule, t):
                           f"domain [{schedule.t_start}, {schedule.t_end}]")
     h12 = (np.asarray(schedule.Omega_p(t), dtype=complex)
            * np.cos(schedule.omega_p * t))
-    h32 = (np.asarray(schedule.Omega_s(t), dtype=complex)
-           * np.cos(schedule.omega_s * t))
-    h11 = -schedule.omega_p - np.asarray(schedule.Delta_p(t), dtype=float)
-    h33 = -schedule.omega_s - np.asarray(schedule.Delta_s(t), dtype=float)
-    return h11, h12, h32, h33
+    if (schedule.Omega_s is schedule.Omega_p
+            and schedule.omega_s == schedule.omega_p):
+        h32 = h12
+    else:
+        h32 = (np.asarray(schedule.Omega_s(t), dtype=complex)
+               * np.cos(schedule.omega_s * t))
+    delta_p = np.asarray(schedule.Delta_p(t), dtype=float)
+    delta_s = (delta_p if schedule.Delta_s is schedule.Delta_p
+               else np.asarray(schedule.Delta_s(t), dtype=float))
+    return -schedule.omega_p - delta_p, h12, h32, -schedule.omega_s - delta_s
 
 
 def hamiltonian_at(schedule, t) -> np.ndarray:

@@ -344,8 +344,8 @@ def strategy_a(A: float, omega: float, T: float) -> PulseSchedule:
     The envelope quotient is evaluated in factored form, so it is finite
     everywhere including the carrier zeros, and it vanishes at both ends.
     """
-    if not 0.0 <= A <= 0.8:
-        raise ValueError("A must lie in [0, 0.8]")
+    if not 0.0 < A <= 0.8:
+        raise ValueError("A must lie in (0, 0.8]")
     if omega <= 0 or T <= 0:
         raise ValueError("omega and T must be positive")
     f, fdot = _window(A, T)

@@ -70,6 +70,11 @@ class TestSynth:
         assert main(["synth", "--strategy", "a",
                      "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
 
+    def test_zero_amplitude_rejected(self, tmp_path):
+        assert main(["synth", "--strategy", "a", "--A", "0",
+                     "--omega-T-over-pi", "10",
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
+
 
 class TestSimulate:
     def test_strategy_b_fidelity(self, tmp_path):
@@ -134,6 +139,19 @@ class TestVerify:
         assert main(["verify", "--strategy", "a", "--A", "0.5",
                      "--schedule", str(bad)]) == EXIT_VALIDATION
         assert "data row 11, column 're_omega_p'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("strategy", [["a", "--A", "0.5"],
+                                          ["b", "--B", "0.5"], ["c"]],
+                             ids=["a", "b", "c"])
+    def test_synth_round_trip_at_defaults(self, tmp_path, strategy):
+        sched = tmp_path / "s.csv"
+        rep = tmp_path / "v.json"
+        assert main(["synth", "--strategy", *strategy,
+                     "--out", str(sched)]) == EXIT_OK
+        assert main(["verify", "--strategy", *strategy, "--schedule",
+                     str(sched), "--out", str(rep)]) == EXIT_OK
+        assert json.loads(rep.read_text())["checks"]["file_invariance"]["passed"]
 
 
 class TestCalibrateC:

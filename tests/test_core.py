@@ -1,5 +1,7 @@
 """Tests for the Hamiltonian, invariant, eigenstructure, and phase helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from lrpulse import (AuxParams, PulseSchedule, analytic_evolution,
                      final_state_prediction, hamiltonian_at,
                      invariance_residual, invariant_at, invariant_eigenvectors,
                      ket, lr_phase_rate, strategy_c)
+from lrpulse.core import hamiltonian_entries
 from lrpulse.errors import DomainError, SingularityError
 from lrpulse.verify import lr_phase_rates_numeric
 
@@ -64,6 +67,28 @@ class TestHamiltonian:
     def test_bad_carrier(self):
         with pytest.raises(ValueError):
             simple_schedule(omega_p=-1.0)
+
+    def test_shared_closures_sampled_once(self):
+        # strategies a, b and c pass one closure for pump and Stokes
+        sch = strategy_c(0.3, 1.0, 2)
+        calls = []
+
+        def counted(fn):
+            def wrapped(t):
+                calls.append(fn)
+                return fn(t)
+            return wrapped
+
+        env, det = counted(sch.Omega_p), counted(sch.Delta_p)
+        shared = dataclasses.replace(sch, Omega_p=env, Omega_s=env,
+                                     Delta_p=det, Delta_s=det)
+        apart = dataclasses.replace(sch, Omega_s=lambda t: sch.Omega_s(t),
+                                    Delta_s=lambda t: sch.Delta_s(t))
+        ts = np.linspace(sch.t_start, sch.t_end, 101)
+        got = hamiltonian_entries(shared, ts)
+        assert calls == [sch.Omega_p, sch.Delta_p]
+        for x, y in zip(got, hamiltonian_entries(apart, ts)):
+            assert np.array_equal(x, y)
 
 
 class TestInvariant:

@@ -122,6 +122,13 @@ class TestStrategyA:
         with pytest.raises(ValueError):
             strategy_a(0.4, -1.0, 1.0)
 
+    def test_zero_amplitude_rejected_like_the_solver(self):
+        # A = 0 transfers nothing, so no omega*T completes it
+        for call in (lambda: strategy_a(0.0, 30.0, 1.0),
+                     lambda: solve_omega_T_for_A(0.0)):
+            with pytest.raises(ValueError, match=r"A must lie in \(0, 0.8\]"):
+                call()
+
 
 class TestStrategyB:
     def test_patch_is_linear_and_continuous(self):
