@@ -35,6 +35,12 @@ TABLE_II_PARAMS = (0.4, 0.5, 0.6, 0.7)
 
 DEFAULT_TARGET_DELTA_EPS = np.pi / 6
 
+# the strategies each schedule option applies to
+_STRATEGY_OPTIONS = {"A": "a", "B": "b", "delta_t_over_T": "b", "neglect_imag": "b",
+                     "T": "ab", "omega_T_over_pi": "ab", "omega": "c",
+                     "Omega0_over_omega": "c", "target_delta_epsilon": "c",
+                     "n_periods": "c"}
+
 
 def _atomic_write(path: str, writer) -> None:
     """Call writer(tmp_path) then rename tmp_path onto path."""
@@ -97,6 +103,14 @@ def _default(args, name, value):
 def build_schedule(args) -> tuple[PulseSchedule, dict, float, str]:
     """Schedule plus calibration info, output time scale, and time-unit label."""
     strategy = args.strategy
+    if strategy not in ("a", "b", "c"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    for name, strategies in _STRATEGY_OPTIONS.items():
+        # given as a flag or config key; a False neglect_imag is not given
+        value = getattr(args, name)
+        if value is not None and value is not False and strategy not in strategies:
+            raise ValueError(f"option --{name.replace('_', '-')} does not "
+                             f"apply to --strategy {strategy}")
     info: dict = {}
     if strategy in ("a", "b"):
         param_name = "A" if strategy == "a" else "B"
@@ -124,27 +138,24 @@ def build_schedule(args) -> tuple[PulseSchedule, dict, float, str]:
                                   float(args.delta_t_over_T) * T,
                                   neglect_imag=bool(args.neglect_imag))
         return schedule, info, T, "t/T"
-    if strategy == "c":
-        _default(args, "omega", 1.0)
-        _default(args, "n_periods", 6)
-        omega = float(args.omega)
-        if omega <= 0:
-            raise ValueError("omega must be positive")
-        if args.Omega0_over_omega is not None:
-            kappa = float(args.Omega0_over_omega)
-        else:
-            target = (float(args.target_delta_epsilon)
-                      if args.target_delta_epsilon is not None
-                      else DEFAULT_TARGET_DELTA_EPS)
-            cal = calibrate_strategy_c(target, tol=float(args.tol))
-            kappa = cal.value
-            info["calibration"] = {"Omega0_over_omega": kappa,
-                                   "target_delta_epsilon": target,
-                                   "residual": cal.residual,
-                                   "iterations": cal.iterations}
-        schedule = strategy_c(kappa * omega, omega, int(args.n_periods))
-        return schedule, info, 0.5 * np.pi / omega, "t/(pi/2w)"
-    raise ValueError(f"unknown strategy {strategy!r}")
+    _default(args, "omega", 1.0)
+    _default(args, "n_periods", 6)
+    omega = float(args.omega)
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    if args.Omega0_over_omega is not None:
+        kappa = float(args.Omega0_over_omega)
+    else:
+        _default(args, "target_delta_epsilon", DEFAULT_TARGET_DELTA_EPS)
+        target = float(args.target_delta_epsilon)
+        cal = calibrate_strategy_c(target, tol=float(args.tol))
+        kappa = cal.value
+        info["calibration"] = {"Omega0_over_omega": kappa,
+                               "target_delta_epsilon": target,
+                               "residual": cal.residual,
+                               "iterations": cal.iterations}
+    schedule = strategy_c(kappa * omega, omega, int(args.n_periods))
+    return schedule, info, 0.5 * np.pi / omega, "t/(pi/2w)"
 
 
 def _envelope_summary(schedule: PulseSchedule) -> dict:
@@ -261,9 +272,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_calibrate_c(args) -> int:
-    target = (float(args.target_delta_epsilon)
-              if args.target_delta_epsilon is not None
-              else DEFAULT_TARGET_DELTA_EPS)
+    _default(args, "target_delta_epsilon", DEFAULT_TARGET_DELTA_EPS)
+    target = float(args.target_delta_epsilon)
     cal = calibrate_strategy_c(target, tol=float(args.tol))
     out = {"schema_version": 1, "target_delta_epsilon": target,
            "Omega0_over_omega": cal.value, "residual": cal.residual,

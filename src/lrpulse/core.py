@@ -70,7 +70,8 @@ def hamiltonian_entries(schedule, t):
     outside the schedule domain raise DomainError; the domain is widened by
     a relative 1e-9 because step grids that end at t_end can overshoot it by
     round-off. A closure shared by pump and Stokes (Omega_s is Omega_p at
-    equal carriers, Delta_s is Delta_p) is evaluated once.
+    equal carriers, Delta_s is Delta_p) is evaluated once, and h32 is h12,
+    h33 is h11 when they are equal.
     """
     t = np.asarray(t, dtype=float)
     slack = 1e-9 * max(1.0, abs(schedule.t_start), abs(schedule.t_end))
@@ -89,7 +90,10 @@ def hamiltonian_entries(schedule, t):
     delta_p = np.asarray(schedule.Delta_p(t), dtype=float)
     delta_s = (delta_p if schedule.Delta_s is schedule.Delta_p
                else np.asarray(schedule.Delta_s(t), dtype=float))
-    return -schedule.omega_p - delta_p, h12, h32, -schedule.omega_s - delta_s
+    h11 = -schedule.omega_p - delta_p
+    h33 = (h11 if delta_s is delta_p and schedule.omega_s == schedule.omega_p
+           else -schedule.omega_s - delta_s)
+    return h11, h12, h32, h33
 
 
 def hamiltonian_at(schedule, t) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Shared numerical kernels: bisection, composite Simpson quadrature, stencils.
+"""Shared numerical kernels: bisection, stencils, and one quadrature rule,
+7-point Gauss-Legendre on uniform cells (integrate, RunningIntegral).
 
 All routines are pure functions (or immutable precomputed tables) and are safe
 to call concurrently.
@@ -13,7 +14,10 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-_MAX_PANELS = 2**20
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+_MAX_BISECTIONS = 200
+_INTEGRATE_TOL = 1e-10
+_MAX_CELLS = 2**17   # 7 * 2**17 abscissae, about 2**20
 
 
 @dataclass(frozen=True)
@@ -28,8 +32,8 @@ class Bracket:
             raise ValueError(f"invalid bracket: lo={self.lo} >= hi={self.hi}")
 
 
-def find_root(f: Callable[[float], float], bracket: Bracket, tol: float,
-              max_iter: int = 200) -> tuple[float, int]:
+def find_root(f: Callable[[float], float], bracket: Bracket,
+              tol: float) -> tuple[float, int]:
     """Bisection root of f on the bracket.
 
     Returns (root, iterations). Terminates when the bracket width drops
@@ -45,7 +49,7 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float,
         return hi, 0
     if flo * fhi > 0:
         raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0 or (hi - lo) <= tol:
@@ -54,42 +58,32 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float,
             hi = mid
         else:
             lo, flo = mid, fmid
-    raise ConvergenceError(f"bisection did not converge in {max_iter} iterations")
+    raise ConvergenceError(f"bisection did not converge in {_MAX_BISECTIONS} iterations")
 
 
-def integrate(f: Callable, a: float, b: float, abs_tol: float = 1e-9,
-              min_panels: int = 256) -> float:
-    """Composite Simpson quadrature, panel count doubled until converged.
+def _gauss_legendre(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integral of f over each interval [lo[i], hi[i]], 7-point Gauss-Legendre."""
+    half = 0.5 * (hi - lo)
+    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES[None, :]
+    ys = np.asarray(f(xs), dtype=float)
+    return (ys * _GL_WEIGHTS[None, :]).sum(axis=1) * half
 
-    Convergence means two successive estimates differ by less than abs_tol.
-    f is evaluated on arrays of abscissae.
-    """
-    if abs_tol <= 0:
-        raise ValueError("abs_tol must be positive")
+
+def integrate(f: Callable, a: float, b: float, n_cells: int) -> float:
+    """Gauss-Legendre quadrature on n_cells uniform cells, the count doubled
+    until two successive sums differ by less than 1e-10. f takes arrays."""
+    if n_cells < 1:
+        raise ValueError("n_cells must be at least 1")
     if a == b:
         return 0.0
-    sign = 1.0
-    if a > b:
-        a, b = b, a
-        sign = -1.0
-
-    def simpson(n: int) -> float:
-        xs = np.linspace(a, b, n + 1)
-        ys = np.asarray(f(xs), dtype=float)
-        h = (b - a) / n
-        return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
-
-    n = max(4, min_panels)
-    if n % 2:
-        n += 1
-    prev = simpson(n)
-    while n <= _MAX_PANELS:
-        n *= 2
-        cur = simpson(n)
-        if abs(cur - prev) < abs_tol:
-            return sign * cur
-        prev = cur
-    raise ConvergenceError(f"Simpson quadrature did not converge below {abs_tol}")
+    prev = np.inf
+    while n_cells <= _MAX_CELLS:
+        edges = np.linspace(a, b, n_cells + 1)
+        cur = float(_gauss_legendre(f, edges[:-1], edges[1:]).sum())
+        if abs(cur - prev) < _INTEGRATE_TOL:
+            return cur
+        prev, n_cells = cur, 2 * n_cells
+    raise ConvergenceError(f"quadrature did not converge to {_INTEGRATE_TOL}")
 
 
 def central_diff(f: Callable, t: float, h: float):
@@ -117,24 +111,13 @@ class RunningIntegral:
         self._f = f
         self.t_start = t_start
         self.t_end = t_end
-        nodes, weights = np.polynomial.legendre.leggauss(7)
-        self._nodes, self._weights = nodes, weights
         self._edges = np.linspace(t_start, t_end, n_cells + 1)
-        a = self._edges[:-1, None]
-        b = self._edges[1:, None]
-        xs = 0.5 * (a + b) + 0.5 * (b - a) * nodes[None, :]
-        ys = np.asarray(f(xs), dtype=float)
-        cell = (ys * weights[None, :]).sum(axis=1) * 0.5 * (b - a)[:, 0]
+        cell = _gauss_legendre(f, self._edges[:-1], self._edges[1:])
         self._cum = np.concatenate([[0.0], np.cumsum(cell)])
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         idx = np.clip(np.searchsorted(self._edges, t_arr, side="right") - 1,
                       0, len(self._edges) - 2)
-        a = self._edges[idx]
-        half = 0.5 * (t_arr - a)
-        xs = a[:, None] + half[:, None] * (1.0 + self._nodes[None, :])
-        ys = np.asarray(self._f(xs), dtype=float)
-        partial = (ys * self._weights[None, :]).sum(axis=1) * half
-        out = self._cum[idx] + partial
+        out = self._cum[idx] + _gauss_legendre(self._f, self._edges[idx], t_arr)
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out

@@ -53,14 +53,13 @@ class TransferReport:
     config: PropagationConfig
     schedule_header: dict
     states: np.ndarray | None = None
-    analytic_deviation: float | None = None
 
     @property
     def final_p3(self) -> float:
         return float(self.final_populations[2])
 
     def summary(self) -> dict:
-        out = {
+        return {
             "schema_version": 1,
             "final_populations": [float(x) for x in self.final_populations],
             "max_p2": self.max_p2,
@@ -69,9 +68,6 @@ class TransferReport:
             "steps_per_carrier_period": self.config.steps_per_carrier_period,
             "schedule": self.schedule_header,
         }
-        if self.analytic_deviation is not None:
-            out["analytic_deviation"] = self.analytic_deviation
-        return out
 
     def write_csv(self, path, time_scale: float = 1.0) -> None:
         with open(path, "w") as fh:
@@ -104,12 +100,16 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
             if stride % k == 0)
 
     # H at the start, middle and end of step b*L + j at [:, j, b]; steps past
-    # n_steps have H = 0, so that their RK4 step is exactly the identity
+    # n_steps have H = 0, so that their RK4 step is exactly the identity; an
+    # array returned for two entries (a shared closure) is laid out once
     grid = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
     n_blocks = -(-n_steps // L)
     full, rest = divmod(n_steps, L)
-    blocked = []
-    for arr in hamiltonian_entries(schedule, grid):
+    entries = hamiltonian_entries(schedule, grid)
+    blocked = {}
+    for arr in entries:
+        if id(arr) in blocked:
+            continue
         if not np.all(np.isfinite(arr)):
             t_bad = grid[np.argmin(np.isfinite(arr))]
             raise PropagationError(f"non-finite Hamiltonian sample at t={t_bad!r}")
@@ -118,8 +118,8 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
             samples = arr[m:m + 2 * n_steps:2]
             out[m, :, :full] = samples[:full * L].reshape(full, L).T
             out[m, :rest, -1] = samples[full * L:]
-        blocked.append(out)
-    a, p, s, d = blocked
+        blocked[id(arr)] = out
+    a, p, s, d = (blocked[id(arr)] for arr in entries)
 
     # classical RK4 on all block propagators; c1, c2, c3 are rows, (3, n_blocks)
     c1, c2, c3 = np.repeat(np.eye(3, dtype=complex)[:, :, None], n_blocks, 2)

@@ -26,6 +26,12 @@ TWO_PI = 2.0 * np.pi
 
 KAPPA_SUP = 1.0 / (2.0 * SQRT2)   # supremum of Omega0/omega for strategy C
 
+# Gauss-Legendre cells per carrier period (the calibrations double theirs until
+# converged), and over the whole domain of a general trajectory
+_RUNNING_CELLS_PER_PERIOD = 64
+_CALIBRATION_CELLS_PER_PERIOD = 8
+_GENERAL_TRAJECTORY_CELLS = 4096
+
 
 # ---------------------------------------------------------------------------
 # trajectories
@@ -75,8 +81,7 @@ def _const(value: float) -> Callable:
 
 def reduced_trajectory(beta: Callable, beta_dot: Callable, omega: float,
                        t_start: float, t_end: float,
-                       alpha: float = np.pi / 4,
-                       cells_per_period: int = 64) -> AuxiliaryTrajectory:
+                       alpha: float = np.pi / 4) -> AuxiliaryTrajectory:
     """Trajectory with constant alpha, lambda = 0, and theta_dot = -omega.
 
     epsilon accumulates as omega * integral of sin(beta)^2, which keeps the
@@ -88,7 +93,7 @@ def reduced_trajectory(beta: Callable, beta_dot: Callable, omega: float,
     every branch rate by -c(t) and leaves all populations unchanged.
     """
     periods = (t_end - t_start) * omega / TWO_PI
-    n_cells = max(64, int(np.ceil(periods * cells_per_period)))
+    n_cells = max(64, int(np.ceil(periods * _RUNNING_CELLS_PER_PERIOD)))
     eps = RunningIntegral(lambda u: omega * np.sin(beta(u)) ** 2,
                           t_start, t_end, n_cells)
     return AuxiliaryTrajectory(
@@ -107,8 +112,7 @@ def reduced_trajectory(beta: Callable, beta_dot: Callable, omega: float,
 def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
                        epsilon: Callable, epsilon_dot: Callable,
                        lam: Callable, lam_dot: Callable,
-                       t_start: float, t_end: float,
-                       n_cells: int = 4096) -> AuxiliaryTrajectory:
+                       t_start: float, t_end: float) -> AuxiliaryTrajectory:
     """Trajectory with nonconstant lambda; alpha follows from the constraint
     alpha_dot = lam_dot * cos(beta) * cos(epsilon).
 
@@ -117,7 +121,7 @@ def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
     """
     alpha = RunningIntegral(
         lambda u: lam_dot(u) * np.cos(beta(u)) * np.cos(epsilon(u)),
-        t_start, t_end, n_cells)
+        t_start, t_end, _GENERAL_TRAJECTORY_CELLS)
 
     def alpha_of(t):
         return alpha0 + alpha(t)
@@ -128,7 +132,7 @@ def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
             epsilon_dot=epsilon_dot(t), lam_dot=lam_dot(t)))
 
     phase_zero = RunningIntegral(lambda u: theta_dot(u) * np.sin(beta(u)) ** 2,
-                                 t_start, t_end, n_cells)
+                                 t_start, t_end, _GENERAL_TRAJECTORY_CELLS)
     return AuxiliaryTrajectory(
         alpha=alpha_of,
         alpha_dot=lambda t: lam_dot(t) * np.cos(beta(t)) * np.cos(epsilon(t)),
@@ -389,20 +393,17 @@ def _solve_omega_T(shape, param: float, tol: float,
         raise ValueError("tol must be positive")
 
     def eps_total(u):
-        min_panels = int(2 ** np.ceil(np.log2(max(256, 64 * u / np.pi))))
+        n_cells = _CALIBRATION_CELLS_PER_PERIOD * (1 + int(u / TWO_PI))
         return u * integrate(lambda s: np.sin(shape(s, u)) ** 2, 0.0, 1.0,
-                             abs_tol=1e-10, min_panels=min_panels)
+                             n_cells)
 
+    # eps_total(u) <= u, so the march starts below the root
     g = lambda u: eps_total(u) - np.pi
     step = 0.5 * np.pi
     lo = step
     glo = g(lo)
     hi = lo
     n_march = 0
-    while glo > 0 and lo > 1e-3:
-        # pathological: already past the root at the first probe
-        lo *= 0.5
-        glo = g(lo)
     while True:
         hi = hi + step
         n_march += 1
@@ -553,8 +554,8 @@ def delta_epsilon_per_period(Omega0_over_omega: float) -> float:
         return 0.0
     integrand = lambda u: np.sin(
         -0.5 * np.arcsin(2.0 * SQRT2 * kappa * np.cos(u) ** 4)) ** 2
-    return integrate(integrand, 0.5 * np.pi, 2.5 * np.pi, abs_tol=1e-10,
-                     min_panels=1024)
+    return integrate(integrand, 0.5 * np.pi, 2.5 * np.pi,
+                     _CALIBRATION_CELLS_PER_PERIOD)
 
 
 def calibrate_strategy_c(target_delta_epsilon: float,

@@ -154,6 +154,47 @@ class TestVerify:
         assert json.loads(rep.read_text())["checks"]["file_invariance"]["passed"]
 
 
+class TestStrategyOptions:
+    A = ["--strategy", "a", "--A", "0.5", "--omega-T-over-pi", "29.73"]
+    B = ["--strategy", "b", "--B", "0.5", "--omega-T-over-pi", "11.34"]
+    C = ["--strategy", "c", "--Omega0-over-omega", "0.3", "--n-periods", "1"]
+
+    CASES = [
+        ("synth", C + ["--A", "0.5"], {}, "--A"),
+        ("synth", C + ["--T", "2"], {}, "--T"),
+        ("synth", C, {"delta_t_over_T": 0.01}, "--delta-t-over-T"),
+        ("synth", A + ["--B", "0.5"], {}, "--B"),
+        ("synth", A + ["--neglect-imag"], {}, "--neglect-imag"),
+        ("synth", A, {"neglect_imag": True}, "--neglect-imag"),
+        ("synth", A + ["--Omega0-over-omega", "0.3"], {}, "--Omega0-over-omega"),
+        ("synth", B, {"target_delta_epsilon": 0.5}, "--target-delta-epsilon"),
+        ("simulate", B + ["--n-periods", "2"], {}, "--n-periods"),
+        ("simulate", A, {"omega": 2.0}, "--omega"),
+        ("verify", C + ["--omega-T-over-pi", "10"], {}, "--omega-T-over-pi"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command,args,config,option", CASES,
+        ids=[f"{c}-{o[2:]}{'-config' if cfg else ''}" for c, _, cfg, o in CASES])
+    def test_inapplicable_option_rejected(self, tmp_path, capsys, command,
+                                          args, config, option):
+        out = tmp_path / "o.csv"
+        argv = [command, *args, "--out", str(out)]
+        if config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_VALIDATION
+        assert f"option {option} does not apply" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_false_neglect_imag_is_not_given(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"neglect_imag": False}))
+        assert main(["synth", *self.A, "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+
+
 class TestCalibrateC:
     def test_default_target(self, tmp_path):
         out = tmp_path / "c.json"

@@ -87,6 +87,7 @@ class TestHamiltonian:
         ts = np.linspace(sch.t_start, sch.t_end, 101)
         got = hamiltonian_entries(shared, ts)
         assert calls == [sch.Omega_p, sch.Delta_p]
+        assert got[2] is got[1] and got[3] is got[0]
         for x, y in zip(got, hamiltonian_entries(apart, ts)):
             assert np.array_equal(x, y)
 

@@ -35,29 +35,28 @@ class TestFindRoot:
 
 class TestIntegrate:
     def test_sine(self):
-        assert abs(integrate(np.sin, 0.0, np.pi) - 2.0) < 1e-9
+        assert abs(integrate(np.sin, 0.0, np.pi, 1) - 2.0) < 1e-9
 
     def test_polynomial(self):
-        val = integrate(lambda x: 3.0 * x ** 2, 0.0, 2.0)
+        val = integrate(lambda x: 3.0 * x ** 2, 0.0, 2.0, 1)
         assert abs(val - 8.0) < 1e-10
 
     def test_oscillatory(self):
         # mean of cos^2 over whole periods
-        val = integrate(lambda x: np.cos(50.0 * x) ** 2, 0.0, 2.0 * np.pi,
-                        abs_tol=1e-10, min_panels=1024)
+        val = integrate(lambda x: np.cos(50.0 * x) ** 2, 0.0, 2.0 * np.pi, 8)
         assert abs(val - np.pi) < 1e-9
 
     def test_degenerate_interval(self):
-        assert integrate(np.sin, 1.0, 1.0) == 0.0
+        assert integrate(np.sin, 1.0, 1.0, 1) == 0.0
 
     def test_reversed_limits_flip_sign(self):
-        fwd = integrate(np.sin, 0.0, 1.0)
-        rev = integrate(np.sin, 1.0, 0.0)
+        fwd = integrate(np.sin, 0.0, 1.0, 1)
+        rev = integrate(np.sin, 1.0, 0.0, 1)
         assert abs(fwd + rev) < 1e-12
 
-    def test_bad_tol(self):
+    def test_bad_cell_count(self):
         with pytest.raises(ValueError):
-            integrate(np.sin, 0.0, 1.0, abs_tol=0.0)
+            integrate(np.sin, 0.0, 1.0, 0)
 
 
 class TestCentralDiff:

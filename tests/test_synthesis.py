@@ -9,8 +9,16 @@ from lrpulse import (calibrate_strategy_c, carrier_singular_times,
                      solve_omega_T_for_A, solve_omega_T_for_B, strategy_a,
                      strategy_b, strategy_c, synthesize_general)
 from lrpulse.errors import CalibrationError, SynthesisError
-from lrpulse.numerics import integrate
 from lrpulse.synthesis import KAPPA_SUP
+
+
+def simpson(f, a, b, n):
+    """Composite Simpson rule on n (even) fixed panels: an oracle that shares
+    no code with the package's Gauss-Legendre quadrature."""
+    xs = np.linspace(a, b, n + 1)
+    ys = f(xs)
+    return (b - a) / (3.0 * n) * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum()
+                                  + 2.0 * ys[2:-1:2].sum())
 
 
 def window_beta(A, T, omega):
@@ -30,8 +38,8 @@ class TestReducedTrajectory:
         beta, beta_dot = window_beta(0.5, 1.0, omega)
         traj = reduced_trajectory(beta, beta_dot, omega, 0.0, 1.0)
         for t in (0.21, 0.5, 0.83, 1.0):
-            ref = omega * integrate(lambda u: np.sin(beta(u)) ** 2, 0.0, t,
-                                    abs_tol=1e-12, min_panels=2048)
+            ref = omega * simpson(lambda u: np.sin(beta(u)) ** 2, 0.0, t,
+                                  2 ** 14)
             assert abs(traj.epsilon(t) - ref) < 1e-9
 
     def test_constraint_holds(self):
@@ -214,6 +222,19 @@ class TestCalibration:
         ks = np.linspace(0.0, KAPPA_SUP * 0.999, 12)
         vals = [delta_epsilon_per_period(k) for k in ks]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("gap", [1.0, 0.7, 0.1, 1e-2, 1e-3, 1e-5, 1e-6,
+                                     1e-8, 1e-10, 1e-12])
+    def test_delta_epsilon_against_fixed_simpson(self, gap):
+        # kappa = (1 - gap) * KAPPA_SUP; near the supremum the integrand's
+        # peaks at cos(u)^4 = 1 sharpen into kinks, which a fixed cell count
+        # misses (1.7e-6 at gap 1e-5)
+        kappa = (1.0 - gap) * KAPPA_SUP
+        ref = simpson(lambda u: np.sin(-0.5 * np.arcsin(
+            2.0 * np.sqrt(2.0) * kappa * np.cos(u) ** 4)) ** 2,
+            0.5 * np.pi, 2.5 * np.pi, 2 ** 18)
+        bound = 1e-12 if gap >= 1e-8 else 1e-9
+        assert abs(delta_epsilon_per_period(kappa) - ref) <= bound
 
     def test_calibrate_c_round_trip(self):
         cal = calibrate_strategy_c(np.pi / 6)
