@@ -80,7 +80,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, value in cfg.items():
         if not hasattr(args, key):
             raise ValueError(f"{path}: unknown config key {key!r}")
-        if getattr(args, key) in (None, False):
+        if getattr(args, key) is None:
             setattr(args, key, value)
     return args
 
@@ -306,7 +306,7 @@ def _add_strategy(p):
     p.add_argument("--delta-t-over-T", dest="delta_t_over_T", type=float,
                    help="strategy-b patch half-width in units of T (default 0.01)")
     p.add_argument("--neglect-imag", dest="neglect_imag", action="store_true",
-                   help="strategy-b: drop the imaginary envelope part")
+                   default=None, help="strategy-b: drop the imaginary envelope part")
     p.add_argument("--omega", type=float,
                    help="strategy-c carrier frequency (default 1.0)")
     p.add_argument("--Omega0-over-omega", dest="Omega0_over_omega", type=float,

@@ -14,7 +14,13 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+# 7-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(7)
+# written out so that importing the package does not load numpy.polynomial
+_GL_NODES = np.array([-0.9491079123427586, -0.7415311855993945, -0.4058451513773972,
+                      0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427586])
+_GL_WEIGHTS = np.array([0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
+                        0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+                        0.12948496616886973])
 _MAX_BISECTIONS = 200
 _INTEGRATE_TOL = 1e-10
 _MAX_CELLS = 2**17   # 7 * 2**17 abscissae, about 2**20

@@ -70,13 +70,10 @@ class TransferReport:
         }
 
     def write_csv(self, path, time_scale: float = 1.0) -> None:
-        with open(path, "w") as fh:
-            fh.write("# " + json.dumps(self.summary()) + "\n")
-            fh.write("t,p1,p2,p3,norm\n")
-            for i, t in enumerate(self.times):
-                p = self.populations[i]
-                fh.write(f"{t / time_scale:.12g},{p[0]:.12g},{p[1]:.12g},"
-                         f"{p[2]:.12g},{self.norms[i]:.12g}\n")
+        np.savetxt(path, np.column_stack([self.times / time_scale,
+                                          self.populations, self.norms]),
+                   fmt="%.12g", delimiter=",", comments="",
+                   header="# " + json.dumps(self.summary()) + "\nt,p1,p2,p3,norm")
 
 
 def propagate(schedule: PulseSchedule, psi0: np.ndarray,

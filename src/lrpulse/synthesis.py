@@ -1,13 +1,17 @@
 """Auxiliary-angle trajectories, inverse-engineered pulse schedules, and the
 three concrete design strategies with their calibration solvers.
 
-A trajectory fixes the invariant's angles over time; inverse engineering then
-yields the complex pump/Stokes envelopes and the common two-photon detuning
-that make the invariant exact. Strategy A shapes the mixing angle with a
-smooth window times the squared carrier so the envelope quotient stays
-bounded; strategy B drops the carrier factor and patches the resulting
-singular quotient by linear interpolation around each carrier zero; strategy
-C picks the envelope's real part first and solves the angles backwards.
+A trajectory fixes the invariant's angles over time; synthesize_general then
+yields the complex pump/Stokes envelopes and detunings that make the invariant
+exact. Strategies A, B and C share one reduced invariant (alpha = pi/4,
+lambda = 0, theta_dot = -omega): a strategy is a mixing angle beta, its
+derivative beta_dot and an envelope kept regular at the carrier zeros, and
+_reduced_schedule derives the rest from beta: epsilon_dot = omega*sin(beta)^2,
+the detuning Delta = -2*epsilon_dot, and pump = Stokes = envelope. Strategy A
+multiplies a smooth window by the squared carrier and evaluates the quotient
+in factored form; B takes the window alone and patches the singular quotient
+linearly around each carrier zero; C picks the envelope's real part first and
+solves beta backwards. The calibrations integrate sin(beta)^2 of the same beta.
 """
 
 from __future__ import annotations
@@ -94,18 +98,17 @@ def reduced_trajectory(beta: Callable, beta_dot: Callable, omega: float,
     """
     periods = (t_end - t_start) * omega / TWO_PI
     n_cells = max(64, int(np.ceil(periods * _RUNNING_CELLS_PER_PERIOD)))
-    eps = RunningIntegral(lambda u: omega * np.sin(beta(u)) ** 2,
-                          t_start, t_end, n_cells)
+    eps_dot = lambda t: omega * np.sin(beta(t)) ** 2
+    eps = RunningIntegral(eps_dot, t_start, t_end, n_cells)
+    phase = lambda t: omega * (np.asarray(t, dtype=float) - t_start) - eps(t)
     return AuxiliaryTrajectory(
         alpha=_const(alpha), alpha_dot=_const(0.0),
         beta=beta, beta_dot=beta_dot,
-        epsilon=eps, epsilon_dot=lambda t: omega * np.sin(beta(t)) ** 2,
+        epsilon=eps, epsilon_dot=eps_dot,
         lam=_const(0.0), lam_dot=_const(0.0),
         theta_dot=_const(-omega),
         t_start=t_start, t_end=t_end,
-        phase_plus=lambda t: omega * (np.asarray(t, dtype=float) - t_start) - eps(t),
-        phase_minus=lambda t: omega * (np.asarray(t, dtype=float) - t_start) - eps(t),
-        phase_zero=lambda t: -eps(t),
+        phase_plus=phase, phase_minus=phase, phase_zero=lambda t: -eps(t),
     )
 
 
@@ -119,12 +122,9 @@ def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
     The phase-rate parameter is pinned by the quotient relation, so sin(beta)
     must stay away from zero on the whole domain.
     """
-    alpha = RunningIntegral(
-        lambda u: lam_dot(u) * np.cos(beta(u)) * np.cos(epsilon(u)),
-        t_start, t_end, _GENERAL_TRAJECTORY_CELLS)
-
-    def alpha_of(t):
-        return alpha0 + alpha(t)
+    alpha_dot = lambda t: lam_dot(t) * np.cos(beta(t)) * np.cos(epsilon(t))
+    alpha = RunningIntegral(alpha_dot, t_start, t_end, _GENERAL_TRAJECTORY_CELLS)
+    alpha_of = lambda t: alpha0 + alpha(t)
 
     def theta_dot(t):
         return lr_phase_rate(AuxParams(
@@ -134,9 +134,7 @@ def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
     phase_zero = RunningIntegral(lambda u: theta_dot(u) * np.sin(beta(u)) ** 2,
                                  t_start, t_end, _GENERAL_TRAJECTORY_CELLS)
     return AuxiliaryTrajectory(
-        alpha=alpha_of,
-        alpha_dot=lambda t: lam_dot(t) * np.cos(beta(t)) * np.cos(epsilon(t)),
-        beta=beta, beta_dot=beta_dot,
+        alpha=alpha_of, alpha_dot=alpha_dot, beta=beta, beta_dot=beta_dot,
         epsilon=epsilon, epsilon_dot=epsilon_dot,
         lam=lam, lam_dot=lam_dot, theta_dot=theta_dot,
         t_start=t_start, t_end=t_end,
@@ -198,13 +196,11 @@ class PulseSchedule:
         op = np.asarray(self.Omega_p(ts), dtype=complex)
         os_ = np.asarray(self.Omega_s(ts), dtype=complex)
         dd = np.asarray(self.Delta_p(ts), dtype=float)
-        with open(path, "w") as fh:
-            fh.write("# " + json.dumps(self.header()) + "\n")
-            fh.write("t,re_omega_p,im_omega_p,re_omega_s,im_omega_s,delta\n")
-            for i, t in enumerate(ts):
-                fh.write(f"{t / time_scale:.12g},{op[i].real:.12g},"
-                         f"{op[i].imag:.12g},{os_[i].real:.12g},"
-                         f"{os_[i].imag:.12g},{dd[i]:.12g}\n")
+        np.savetxt(path, np.column_stack([ts / time_scale, op.real, op.imag,
+                                          os_.real, os_.imag, dd]),
+                   fmt="%.12g", delimiter=",", comments="",
+                   header="# " + json.dumps(self.header()) + "\n"
+                   "t,re_omega_p,im_omega_p,re_omega_s,im_omega_s,delta")
 
 
 def load_schedule_csv(path):
@@ -235,6 +231,11 @@ def carrier_singular_times(omega: float, t_start: float, t_end: float) -> np.nda
     return ts[(ts > t_start) & (ts < t_end)]
 
 
+def _nearest_carrier_zero(omega: float, t):
+    """The zero of cos(omega*t) nearest to each t."""
+    return (np.round(omega * t / np.pi - 0.5) + 0.5) * np.pi / omega
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     """Outcome of a calibration solve."""
@@ -252,23 +253,32 @@ class CalibrationResult:
 _CARRIER_ZERO_TOL = 1e-8
 
 
-def _branch_numerators(aux: AuxiliaryTrajectory):
-    """Numerators of the pump/Stokes envelope quotients as array closures."""
-    def num_p(t):
-        a, b = aux.alpha(t), aux.beta(t)
-        common = 0.5 * np.cos(a) * (-2j * aux.beta_dot(t)
-                                    + aux.theta_dot(t) * np.sin(2 * b))
-        return (1j * aux.lam_dot(t) * np.exp(-1j * aux.epsilon(t))
-                * np.sin(a) * np.sin(b)) + common
+def _branch(aux: AuxiliaryTrajectory, omega: float, pump: bool):
+    """Numerator of the envelope quotient and the detuning of the pump field,
+    or of the Stokes field, which swaps cos(alpha) and sin(alpha) and flips
+    the sign of the lam_dot terms; both are array closures."""
+    sign = 1.0 if pump else -1.0
 
-    def num_s(t):
-        a, b = aux.alpha(t), aux.beta(t)
-        common = 0.5 * np.sin(a) * (-2j * aux.beta_dot(t)
-                                    + aux.theta_dot(t) * np.sin(2 * b))
-        return (-1j * aux.lam_dot(t) * np.exp(-1j * aux.epsilon(t))
-                * np.cos(a) * np.sin(b)) + common
+    def trig(a):
+        return (np.cos(a), np.sin(a)) if pump else (np.sin(a), np.cos(a))
 
-    return num_p, num_s
+    def numerator(t):
+        b = aux.beta(t)
+        c, s = trig(aux.alpha(t))
+        common = 0.5 * c * (-2j * aux.beta_dot(t) + aux.theta_dot(t) * np.sin(2 * b))
+        return (sign * 1j * aux.lam_dot(t) * np.exp(-1j * aux.epsilon(t))
+                * s * np.sin(b)) + common
+
+    def detuning(t):
+        a, b = aux.alpha(t), aux.beta(t)
+        c, s = trig(a)
+        rhs = (-aux.epsilon_dot(t) * s ** 2
+               + aux.theta_dot(t) * (c ** 2 * np.sin(b) ** 2 - np.cos(b) ** 2)
+               - sign * aux.lam_dot(t) * np.sin(aux.epsilon(t)) * np.sin(2 * a)
+               * np.cos(b))
+        return rhs - omega
+
+    return numerator, detuning
 
 
 def synthesize_general(aux: AuxiliaryTrajectory, omega_p: float,
@@ -279,67 +289,80 @@ def synthesize_general(aux: AuxiliaryTrajectory, omega_p: float,
     numerator does not vanish at a carrier zero are rejected because they
     would need an unbounded pulse there.
     """
-    num_p, num_s = _branch_numerators(aux)
-
     probe = np.linspace(aux.t_start, aux.t_end, 1001)
-    for carrier, num, name in ((omega_p, num_p, "pump"),
-                               (omega_s, num_s, "Stokes")):
-        scale = max(float(np.max(np.abs(num(probe)))), carrier)
-        for tz in carrier_singular_times(carrier, aux.t_start, aux.t_end):
-            if abs(complex(num(tz))) > 1e-7 * scale:
-                raise SynthesisError(
-                    f"{name} envelope is singular at t={tz:.9g}: "
-                    "numerator does not vanish with the carrier cosine")
 
-    def quotient(num, carrier):
-        def fn(t):
+    def envelope_and_detuning(carrier, pump):
+        num, detuning = _branch(aux, carrier, pump)
+        scale = max(float(np.max(np.abs(num(probe)))), carrier)
+        tz = carrier_singular_times(carrier, aux.t_start, aux.t_end)
+        bad = tz[np.abs(num(tz)) > 1e-7 * scale]
+        if bad.size:
+            raise SynthesisError(
+                f"{'pump' if pump else 'Stokes'} envelope is singular at "
+                f"t={bad[0]:.9g}: numerator does not vanish with the carrier cosine")
+
+        def envelope(t):
             c = np.cos(carrier * t)
             near = np.abs(c) < _CARRIER_ZERO_TOL
             with np.errstate(divide="ignore", invalid="ignore"):
                 val = np.asarray(num(t) / c, dtype=complex)
             if np.any(near):
-                tz = (np.round(carrier * t / np.pi - 0.5) + 0.5) * np.pi / carrier
+                tz = _nearest_carrier_zero(carrier, t)
                 h = 1e-6 * TWO_PI / carrier
                 lim = (num(tz + h) - num(tz - h)) / (2 * h) \
                     / (-carrier * np.sin(carrier * tz))
                 val = np.where(near, lim, val)
             return val
-        return fn
+        return envelope, detuning
 
-    def delta_p(t):
-        a, b = aux.alpha(t), aux.beta(t)
-        rhs = (-aux.epsilon_dot(t) * np.sin(a) ** 2
-               + aux.theta_dot(t) * (np.cos(a) ** 2 * np.sin(b) ** 2
-                                     - np.cos(b) ** 2)
-               - aux.lam_dot(t) * np.sin(aux.epsilon(t)) * np.sin(2 * a)
-               * np.cos(b))
-        return rhs - omega_p
-
-    def delta_s(t):
-        a, b = aux.alpha(t), aux.beta(t)
-        rhs = (-aux.epsilon_dot(t) * np.cos(a) ** 2
-               + aux.theta_dot(t) * (np.sin(a) ** 2 * np.sin(b) ** 2
-                                     - np.cos(b) ** 2)
-               + aux.lam_dot(t) * np.sin(aux.epsilon(t)) * np.sin(2 * a)
-               * np.cos(b))
-        return rhs - omega_s
-
+    Omega_p, Delta_p = envelope_and_detuning(omega_p, True)
+    Omega_s, Delta_s = envelope_and_detuning(omega_s, False)
     return PulseSchedule(
-        omega_p=omega_p, omega_s=omega_s,
-        Omega_p=quotient(num_p, omega_p), Omega_s=quotient(num_s, omega_s),
-        Delta_p=delta_p, Delta_s=delta_s,
-        t_start=aux.t_start, t_end=aux.t_end,
+        omega_p=omega_p, omega_s=omega_s, Omega_p=Omega_p, Omega_s=Omega_s,
+        Delta_p=Delta_p, Delta_s=Delta_s, t_start=aux.t_start, t_end=aux.t_end,
         strategy="general", params={}, trajectory=aux)
+
+
+# ---------------------------------------------------------------------------
+# strategies: one reduced invariant, a mixing angle and a regular envelope each
+# ---------------------------------------------------------------------------
+
+def _reduced_schedule(strategy: str, params: dict, beta: Callable,
+                      beta_dot: Callable, envelope: Callable, omega: float,
+                      t_start: float, t_end: float) -> PulseSchedule:
+    """Schedule of the reduced trajectory of beta: pump and Stokes share the
+    envelope and the detuning Delta = -2 epsilon_dot (the same closures)."""
+    traj = reduced_trajectory(beta, beta_dot, omega, t_start, t_end)
+    delta = lambda t: -2.0 * traj.epsilon_dot(t)
+    return PulseSchedule(
+        omega_p=omega, omega_s=omega, Omega_p=envelope, Omega_s=envelope,
+        Delta_p=delta, Delta_s=delta, t_start=t_start, t_end=t_end,
+        strategy=strategy, params=params, trajectory=traj)
+
+
+def _window(amp: float, T: float, name: str):
+    """The window 0.5*amp*(1 - cos(2*pi*t/T)) and its derivative, amp in (0, 0.8]."""
+    if not 0.0 < amp <= 0.8:
+        raise ValueError(f"{name} must lie in (0, 0.8]")
+    f = lambda t: 0.5 * amp * (1.0 - np.cos(TWO_PI * t / T))
+    fdot = lambda t: (np.pi * amp / T) * np.sin(TWO_PI * t / T)
+    return f, fdot
 
 
 # ---------------------------------------------------------------------------
 # strategy A: smooth window times squared carrier
 # ---------------------------------------------------------------------------
 
-def _window(A: float, T: float):
-    f = lambda t: 0.5 * A * (1.0 - np.cos(TWO_PI * t / T))
-    fdot = lambda t: (np.pi * A / T) * np.sin(TWO_PI * t / T)
-    return f, fdot
+def _beta_a(f: Callable, fdot: Callable, omega: float):
+    """Strategy A's mixing angle f(t) * cos(omega*t)^2 and its derivative."""
+    def beta(t):
+        return f(t) * np.cos(omega * t) ** 2
+
+    def beta_dot(t):
+        return (fdot(t) * np.cos(omega * t) ** 2
+                - f(t) * omega * np.sin(2 * omega * t))
+
+    return beta, beta_dot
 
 
 def strategy_a(A: float, omega: float, T: float) -> PulseSchedule:
@@ -348,18 +371,9 @@ def strategy_a(A: float, omega: float, T: float) -> PulseSchedule:
     The envelope quotient is evaluated in factored form, so it is finite
     everywhere including the carrier zeros, and it vanishes at both ends.
     """
-    if not 0.0 < A <= 0.8:
-        raise ValueError("A must lie in (0, 0.8]")
+    f, fdot = _window(A, T, "A")
     if omega <= 0 or T <= 0:
         raise ValueError("omega and T must be positive")
-    f, fdot = _window(A, T)
-
-    def beta(t):
-        return f(t) * np.cos(omega * t) ** 2
-
-    def beta_dot(t):
-        return (fdot(t) * np.cos(omega * t) ** 2
-                - f(t) * omega * np.sin(2 * omega * t))
 
     def envelope(t):
         c = np.cos(omega * t)
@@ -371,31 +385,24 @@ def strategy_a(A: float, omega: float, T: float) -> PulseSchedule:
         s2b_over_c = 2.0 * fv * c * np.sinc(2.0 * fv * c * c / np.pi)
         return -(2j * bdot_over_c + omega * s2b_over_c) / (2.0 * SQRT2)
 
-    def delta(t):
-        return -2.0 * omega * np.sin(beta(t)) ** 2
-
-    traj = reduced_trajectory(beta, beta_dot, omega, 0.0, T)
-    return PulseSchedule(
-        omega_p=omega, omega_s=omega, Omega_p=envelope, Omega_s=envelope,
-        Delta_p=delta, Delta_s=delta, t_start=0.0, t_end=T,
-        strategy="a", params={"A": A, "omega_T": omega * T},
-        trajectory=traj)
+    return _reduced_schedule("a", {"A": A, "omega_T": omega * T},
+                             *_beta_a(f, fdot, omega), envelope, omega, 0.0, T)
 
 
-def _solve_omega_T(shape, param: float, tol: float,
+def _solve_omega_T(beta_of: Callable, param: float, tol: float,
                    u_max: float = 2000.0 * np.pi) -> CalibrationResult:
     """Smallest u = omega*T with accumulated epsilon equal to pi.
 
-    shape(s, u) is the mixing angle as a function of the scaled time
-    s = t/T in [0, 1].
+    beta_of(u) is the mixing angle at omega*T = u as a function of the
+    scaled time s = t/T in [0, 1].
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
     def eps_total(u):
         n_cells = _CALIBRATION_CELLS_PER_PERIOD * (1 + int(u / TWO_PI))
-        return u * integrate(lambda s: np.sin(shape(s, u)) ** 2, 0.0, 1.0,
-                             n_cells)
+        beta = beta_of(u)
+        return u * integrate(lambda s: np.sin(beta(s)) ** 2, 0.0, 1.0, n_cells)
 
     # eps_total(u) <= u, so the march starts below the root
     g = lambda u: eps_total(u) - np.pi
@@ -414,17 +421,14 @@ def _solve_omega_T(shape, param: float, tol: float,
             break
         lo, glo = hi, ghi
     root, iters = find_root(g, Bracket(lo, hi), tol=min(tol, 1e-6))
-    residual = abs(g(root))
     return CalibrationResult(input_value=param, value=root,
-                             residual=residual, iterations=n_march + iters)
+                             residual=abs(g(root)), iterations=n_march + iters)
 
 
 def solve_omega_T_for_A(A: float, tol: float = 1e-6) -> CalibrationResult:
     """omega*T completing a strategy-A transfer (accumulated epsilon = pi)."""
-    if not 0.0 < A <= 0.8:
-        raise ValueError("A must lie in (0, 0.8]")
-    f = lambda s: 0.5 * A * (1.0 - np.cos(TWO_PI * s))
-    return _solve_omega_T(lambda s, u: f(s) * np.cos(u * s) ** 2, A, tol)
+    window = _window(A, 1.0, "A")
+    return _solve_omega_T(lambda u: _beta_a(*window, u)[0], A, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +444,13 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
     With neglect_imag the imaginary part of the patched envelope is dropped
     entirely. The detuning is untouched by the patching.
     """
-    if not 0.0 < B <= 0.8:
-        raise ValueError("B must lie in (0, 0.8]")
+    f, fdot = _window(B, T, "B")
     if omega <= 0 or T <= 0:
         raise ValueError("omega and T must be positive")
     if delta_t <= 0:
         raise ValueError("delta_t must be positive")
     if delta_t >= 0.5 * np.pi / omega:
         raise ValueError("delta_t overlaps adjacent singular points")
-    f, fdot = _window(B, T)
     singulars = carrier_singular_times(omega, 0.0, T)
 
     def raw(t):
@@ -459,38 +461,26 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
     def envelope(t):
         with np.errstate(divide="ignore", invalid="ignore"):
             val = np.asarray(raw(t), dtype=complex)
-        n = np.round(omega * t / np.pi + 0.5)
-        tn = (2.0 * n - 1.0) * np.pi / (2.0 * omega)
+        tn = _nearest_carrier_zero(omega, t)
         inside = (np.abs(t - tn) < delta_t) & (tn > 0.0) & (tn < T)
         if np.any(inside):
-            lo = raw(tn - delta_t)
-            hi = raw(tn + delta_t)
+            lo, hi = raw(tn - delta_t), raw(tn + delta_t)
             interp = lo + (hi - lo) / (2.0 * delta_t) * (t - tn + delta_t)
             val = np.where(inside, interp, val)
         if neglect_imag:
             val = val.real.astype(complex)
         return val
 
-    def delta(t):
-        return -2.0 * omega * np.sin(f(t)) ** 2
-
-    traj = reduced_trajectory(f, fdot, omega, 0.0, T)
-    return PulseSchedule(
-        omega_p=omega, omega_s=omega, Omega_p=envelope, Omega_s=envelope,
-        Delta_p=delta, Delta_s=delta, t_start=0.0, t_end=T,
-        strategy="b",
-        params={"B": B, "omega_T": omega * T, "delta_t_over_T": delta_t / T,
-                "neglect_imag": neglect_imag,
-                "singular_times": singulars.tolist()},
-        trajectory=traj)
+    return _reduced_schedule(
+        "b", {"B": B, "omega_T": omega * T, "delta_t_over_T": delta_t / T,
+              "neglect_imag": neglect_imag, "singular_times": singulars.tolist()},
+        f, fdot, envelope, omega, 0.0, T)
 
 
 def solve_omega_T_for_B(B: float, tol: float = 1e-6) -> CalibrationResult:
     """omega*T completing a strategy-B transfer (accumulated epsilon = pi)."""
-    if not 0.0 < B <= 0.8:
-        raise ValueError("B must lie in (0, 0.8]")
-    f = lambda s: 0.5 * B * (1.0 - np.cos(TWO_PI * s))
-    return _solve_omega_T(lambda s, u: f(s) + 0.0 * u, B, tol)
+    f, _ = _window(B, 1.0, "B")
+    return _solve_omega_T(lambda u: f, B, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +513,6 @@ def strategy_c(Omega0: float, omega: float, n_periods: int) -> PulseSchedule:
     kappa = Omega0 / omega
     t_start = 0.5 * np.pi / omega
     t_end = t_start + n_periods * TWO_PI / omega
-    beta, beta_dot = _beta_c(kappa, omega)
 
     def envelope(t):
         c = np.cos(omega * t)
@@ -532,16 +521,9 @@ def strategy_c(Omega0: float, omega: float, n_periods: int) -> PulseSchedule:
         om_i = -4.0 * Omega0 * c ** 2 * s / np.sqrt(1.0 - 8.0 * kappa ** 2 * c ** 8)
         return om_r + 1j * om_i
 
-    def delta(t):
-        return -2.0 * omega * np.sin(beta(t)) ** 2
-
-    traj = reduced_trajectory(beta, beta_dot, omega, t_start, t_end)
-    return PulseSchedule(
-        omega_p=omega, omega_s=omega, Omega_p=envelope, Omega_s=envelope,
-        Delta_p=delta, Delta_s=delta, t_start=t_start, t_end=t_end,
-        strategy="c",
-        params={"Omega0_over_omega": kappa, "n_periods": int(n_periods)},
-        trajectory=traj)
+    return _reduced_schedule(
+        "c", {"Omega0_over_omega": kappa, "n_periods": int(n_periods)},
+        *_beta_c(kappa, omega), envelope, omega, t_start, t_end)
 
 
 def delta_epsilon_per_period(Omega0_over_omega: float) -> float:
@@ -552,9 +534,8 @@ def delta_epsilon_per_period(Omega0_over_omega: float) -> float:
         raise ValueError("Omega0/omega must lie in [0, 1/(2*sqrt(2)))")
     if kappa == 0.0:
         return 0.0
-    integrand = lambda u: np.sin(
-        -0.5 * np.arcsin(2.0 * SQRT2 * kappa * np.cos(u) ** 4)) ** 2
-    return integrate(integrand, 0.5 * np.pi, 2.5 * np.pi,
+    beta, _ = _beta_c(kappa, 1.0)
+    return integrate(lambda u: np.sin(beta(u)) ** 2, 0.5 * np.pi, 2.5 * np.pi,
                      _CALIBRATION_CELLS_PER_PERIOD)
 
 

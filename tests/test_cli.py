@@ -140,6 +140,14 @@ class TestVerify:
                      "--schedule", str(bad)]) == EXIT_VALIDATION
         assert "data row 11, column 're_omega_p'" in capsys.readouterr().err
 
+    def test_b_neglect_imag_fails_invariance_only(self, tmp_path):
+        # dropping the imaginary envelope part breaks the invariant at every
+        # time, not only in the patch windows (residual ~6e-2 omega)
+        rep = tmp_path / "v.json"
+        assert main(["verify", "--strategy", "b", "--B", "0.5",
+                     "--neglect-imag", "--out", str(rep)]) == EXIT_VALIDATION
+        checks = json.loads(rep.read_text())["checks"]
+        assert [n for n, c in checks.items() if not c["passed"]] == ["invariance"]
 
     @pytest.mark.parametrize("strategy", [["a", "--A", "0.5"],
                                           ["b", "--B", "0.5"], ["c"]],
@@ -219,6 +227,17 @@ class TestConfigFile:
         info = json.loads(summ.read_text())
         assert info["schedule"]["params"]["n_periods"] == 2
         assert info["schedule"]["params"]["Omega0_over_omega"] == pytest.approx(0.3)
+
+    def test_zero_flag_overrides_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strategy": "c", "Omega0_over_omega": 0.3,
+                                   "n_periods": 1}))
+        summ = tmp_path / "o.json"
+        assert main(["synth", "--config", str(cfg), "--Omega0-over-omega", "0",
+                     "--out", str(tmp_path / "o.csv"),
+                     "--summary", str(summ)]) == EXIT_OK
+        params = json.loads(summ.read_text())["schedule"]["params"]
+        assert params["Omega0_over_omega"] == 0.0
 
     def test_config_sets_flags_with_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,9 +1,16 @@
 """Tests for the shared numerical kernels."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lrpulse.numerics import Bracket, RunningIntegral, central_diff, find_root, integrate
+import lrpulse
+from lrpulse.numerics import (_GL_NODES, _GL_WEIGHTS, Bracket, RunningIntegral,
+                              central_diff, find_root, integrate)
 
 
 class TestFindRoot:
@@ -90,3 +97,20 @@ class TestRunningIntegral:
     def test_start_is_zero(self):
         F = RunningIntegral(np.cos, -1.0, 1.0, 32)
         assert F(-1.0) == 0.0
+
+
+class TestGaussLegendreTable:
+    def test_literals_are_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        assert np.array_equal(_GL_NODES, nodes)
+        assert np.array_equal(_GL_WEIGHTS, weights)
+
+    def test_cli_import_does_not_load_numpy_polynomial(self):
+        src = str(Path(lrpulse.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, lrpulse.cli; "
+             "print('numpy.polynomial' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrpulse import (calibrate_strategy_c, carrier_singular_times,
                      delta_epsilon_per_period, general_trajectory,
-                     load_schedule_csv, reduced_trajectory,
+                     invariance_residual, load_schedule_csv, reduced_trajectory,
                      solve_omega_T_for_A, solve_omega_T_for_B, strategy_a,
                      strategy_b, strategy_c, synthesize_general)
 from lrpulse.errors import CalibrationError, SynthesisError
@@ -19,6 +21,21 @@ def simpson(f, a, b, n):
     ys = f(xs)
     return (b - a) / (3.0 * n) * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum()
                                   + 2.0 * ys[2:-1:2].sum())
+
+
+def wallis_delta_epsilon(kappa, terms=400):
+    """-pi * sum_{n>=1} binom(1/2, n) (-8 kappa^2)^n binom(8n, 4n) / 2^(8n):
+    sin(beta)^2 = (1 - sqrt(1 - 8 kappa^2 cos(u)^8)) / 2 expanded in powers
+    of cos(u)^8 and integrated over one period with Wallis' integral."""
+    total, coeff, wallis = 0.0, 1.0, 1.0
+    for n in range(1, terms + 1):
+        coeff *= (1.5 - n) / n * (-8.0 * kappa ** 2)   # binom(1/2, n) (-8k^2)^n
+        for j in range(8 * n - 7, 8 * n + 1):           # binom(8n, 4n) / 2^(8n)
+            wallis *= j / 2.0
+        for j in range(4 * n - 3, 4 * n + 1):
+            wallis /= j * j
+        total += coeff * wallis
+    return -np.pi * total
 
 
 def window_beta(A, T, omega):
@@ -94,10 +111,30 @@ class TestSynthesizeGeneral:
         traj = general_trajectory(np.pi / 3, beta, beta_dot, eps, eps_dot,
                                   lam, lam_dot, t0, t1)
         sch = synthesize_general(traj, w, w)
-        from lrpulse import invariance_residual
         for t in np.linspace(t0 + 0.02, t1 - 0.02, 9):
             assert invariance_residual(sch, traj, t, 1e-7) < 1e-7
             assert traj.constraint_residual(t) < 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha0=st.floats(0.8, 1.2), beta0=st.floats(0.6, 1.2),
+           beta_amp=st.floats(0.0, 0.2), eps_rate=st.floats(0.2, 1.0),
+           lam_amp=st.floats(0.02, 0.2))
+    def test_random_lambda_trajectories(self, alpha0, beta0, beta_amp,
+                                        eps_rate, lam_amp):
+        # one pump/Stokes formula must realize every trajectory exactly
+        t0, t1, w = 0.3, 0.7, 2 * np.pi
+        x = lambda t: np.pi * (np.asarray(t) - t0) / (t1 - t0)
+        y = lambda t: 2 * np.pi * (np.asarray(t) - t0)
+        traj = general_trajectory(
+            alpha0, lambda t: beta0 + beta_amp * np.sin(x(t)),
+            lambda t: beta_amp * np.pi / (t1 - t0) * np.cos(x(t)),
+            lambda t: eps_rate * (np.asarray(t) - t0),
+            lambda t: np.full(np.shape(t), eps_rate),
+            lambda t: lam_amp * np.sin(y(t)),
+            lambda t: 2 * np.pi * lam_amp * np.cos(y(t)), t0, t1)
+        sch = synthesize_general(traj, w, w)
+        ts = np.linspace(t0 + 0.02, t1 - 0.02, 9)
+        assert np.max(invariance_residual(sch, traj, ts, 1e-7)) < 1e-7
 
 
 class TestStrategyA:
@@ -129,13 +166,6 @@ class TestStrategyA:
             strategy_a(1.5, 30.0, 1.0)
         with pytest.raises(ValueError):
             strategy_a(0.4, -1.0, 1.0)
-
-    def test_zero_amplitude_rejected_like_the_solver(self):
-        # A = 0 transfers nothing, so no omega*T completes it
-        for call in (lambda: strategy_a(0.0, 30.0, 1.0),
-                     lambda: solve_omega_T_for_A(0.0)):
-            with pytest.raises(ValueError, match=r"A must lie in \(0, 0.8\]"):
-                call()
 
 
 class TestStrategyB:
@@ -169,6 +199,25 @@ class TestStrategyB:
             strategy_b(0.5, 30.0, 1.0, -0.1)
         with pytest.raises(ValueError):
             strategy_b(0.5, 30.0, 1.0, 0.2)   # overlaps adjacent zeros
+
+
+class TestAmplitudeBounds:
+    ENTRY_POINTS = {
+        "strategy_a": ("A", lambda amp: strategy_a(amp, 30.0, 1.0)),
+        "solve_omega_T_for_A": ("A", solve_omega_T_for_A),
+        "strategy_b": ("B", lambda amp: strategy_b(amp, 30.0, 1.0, 0.01)),
+        "solve_omega_T_for_B": ("B", solve_omega_T_for_B),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_bounds_like_the_solver(self, entry):
+        # an amplitude of 0 transfers nothing, so no omega*T completes it
+        name, call = self.ENTRY_POINTS[entry]
+        for amp in (0.0, -0.1, 0.8 + 1e-9):
+            with pytest.raises(ValueError,
+                               match=rf"^{name} must lie in \(0, 0\.8\]$"):
+                call(amp)
+        call(0.8)
 
 
 class TestStrategyC:
@@ -235,6 +284,12 @@ class TestCalibration:
             0.5 * np.pi, 2.5 * np.pi, 2 ** 18)
         bound = 1e-12 if gap >= 1e-8 else 1e-9
         assert abs(delta_epsilon_per_period(kappa) - ref) <= bound
+
+    @pytest.mark.parametrize("kappa", [0.01, 0.1, 0.2, 0.3, 0.3396])
+    def test_delta_epsilon_against_wallis_series(self, kappa):
+        # the series converges too slowly above 0.34, near KAPPA_SUP
+        assert abs(delta_epsilon_per_period(kappa)
+                   - wallis_delta_epsilon(kappa)) <= 1e-13
 
     def test_calibrate_c_round_trip(self):
         cal = calibrate_strategy_c(np.pi / 6)
