@@ -68,8 +68,10 @@ def _write_json(path: str, obj: dict) -> None:
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the JSON config file, if one was given."""
+def _merge_config(args: argparse.Namespace,
+                  parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Fill unset options from the JSON config file, if one was given; a value
+    passes its flag's type (str if none) on str(value), a switch takes a bool."""
     path = getattr(args, "config", None)
     if not path:
         return args
@@ -77,18 +79,25 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     for key, value in cfg.items():
         if not hasattr(args, key):
             raise ValueError(f"{path}: unknown config key {key!r}")
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+        if getattr(args, key) is not None or value is None:
+            continue
+        action = actions[key]
+        if action.nargs == 0 and not isinstance(value, bool):
+            raise ValueError(f"{path}: config key {key!r} must be true or false")
+        if action.nargs != 0:
+            try:
+                value = (action.type or str)(str(value))
+            except ValueError:
+                raise ValueError(f"{path}: config key {key!r}: invalid "
+                                 f"{action.type.__name__} value {value!r}") from None
+        setattr(args, key, value)
     return args
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
 
 
 def _default(args, name, value):
@@ -114,17 +123,18 @@ def build_schedule(args) -> tuple[PulseSchedule, dict, float, str]:
     info: dict = {}
     if strategy in ("a", "b"):
         param_name = "A" if strategy == "a" else "B"
-        _require(args, param_name)
-        param = float(getattr(args, param_name))
+        param = getattr(args, param_name)
+        if param is None:
+            raise ValueError(f"missing required option --{param_name}")
         _default(args, "T", 1.0)
-        T = float(args.T)
+        T = args.T
         if T <= 0:
             raise ValueError("T must be positive")
         if args.omega_T_over_pi is not None:
-            omega_T = float(args.omega_T_over_pi) * np.pi
+            omega_T = args.omega_T_over_pi * np.pi
         else:
             solver = solve_omega_T_for_A if strategy == "a" else solve_omega_T_for_B
-            cal = solver(param, tol=float(args.tol))
+            cal = solver(param, tol=args.tol)
             omega_T = cal.value
             info["calibration"] = {"omega_T_over_pi": omega_T / np.pi,
                                    "residual": cal.residual,
@@ -134,27 +144,26 @@ def build_schedule(args) -> tuple[PulseSchedule, dict, float, str]:
             schedule = strategy_a(param, omega, T)
         else:
             _default(args, "delta_t_over_T", 0.01)
-            schedule = strategy_b(param, omega, T,
-                                  float(args.delta_t_over_T) * T,
+            schedule = strategy_b(param, omega, T, args.delta_t_over_T * T,
                                   neglect_imag=bool(args.neglect_imag))
         return schedule, info, T, "t/T"
     _default(args, "omega", 1.0)
     _default(args, "n_periods", 6)
-    omega = float(args.omega)
+    omega = args.omega
     if omega <= 0:
         raise ValueError("omega must be positive")
     if args.Omega0_over_omega is not None:
-        kappa = float(args.Omega0_over_omega)
+        kappa = args.Omega0_over_omega
     else:
         _default(args, "target_delta_epsilon", DEFAULT_TARGET_DELTA_EPS)
-        target = float(args.target_delta_epsilon)
-        cal = calibrate_strategy_c(target, tol=float(args.tol))
+        target = args.target_delta_epsilon
+        cal = calibrate_strategy_c(target, tol=args.tol)
         kappa = cal.value
         info["calibration"] = {"Omega0_over_omega": kappa,
                                "target_delta_epsilon": target,
                                "residual": cal.residual,
                                "iterations": cal.iterations}
-    schedule = strategy_c(kappa * omega, omega, int(args.n_periods))
+    schedule = strategy_c(kappa * omega, omega, args.n_periods)
     return schedule, info, 0.5 * np.pi / omega, "t/(pi/2w)"
 
 
@@ -182,7 +191,7 @@ def cmd_tables(args) -> int:
         params, solver, label = TABLE_I_PARAMS, solve_omega_T_for_A, "A"
     else:
         params, solver, label = TABLE_II_PARAMS, solve_omega_T_for_B, "B"
-    rows = [(p, solver(p, tol=float(args.tol)).value / np.pi) for p in params]
+    rows = [(p, solver(p, tol=args.tol).value / np.pi) for p in params]
 
     def writer(tmp):
         with open(tmp, "w") as fh:
@@ -199,7 +208,7 @@ def cmd_synth(args) -> int:
     # strategy c's envelope has sharp features: at 200 samples per period
     # its linear interpolation misses the file-invariance tolerance
     _default(args, "samples_per_period", 800 if args.strategy == "c" else 200)
-    spp = int(args.samples_per_period)
+    spp = args.samples_per_period
     _atomic_write(args.out,
                   lambda tmp: schedule.write_csv(tmp, spp, time_scale))
     written = [args.out]
@@ -226,7 +235,7 @@ def cmd_synth(args) -> int:
 def cmd_simulate(args) -> int:
     schedule, info, time_scale, unit = build_schedule(args)
     _default(args, "steps_per_period", 2000)
-    cfg = PropagationConfig(steps_per_carrier_period=int(args.steps_per_period),
+    cfg = PropagationConfig(steps_per_carrier_period=args.steps_per_period,
                             record_states=True)
     report = propagate(schedule, ket(1), cfg)
     deviation = None
@@ -256,7 +265,7 @@ def cmd_verify(args) -> int:
     if args.schedule:
         csv = load_schedule_csv(args.schedule)
     result = run_verification(schedule, csv=csv,
-                              steps_per_period=int(args.steps_per_period))
+                              steps_per_period=args.steps_per_period)
     result.update(info)
     if args.out:
         _write_json(args.out, result)
@@ -273,8 +282,8 @@ def cmd_verify(args) -> int:
 
 def cmd_calibrate_c(args) -> int:
     _default(args, "target_delta_epsilon", DEFAULT_TARGET_DELTA_EPS)
-    target = float(args.target_delta_epsilon)
-    cal = calibrate_strategy_c(target, tol=float(args.tol))
+    target = args.target_delta_epsilon
+    cal = calibrate_strategy_c(target, tol=args.tol)
     out = {"schema_version": 1, "target_delta_epsilon": target,
            "Omega0_over_omega": cal.value, "residual": cal.residual,
            "iterations": cal.iterations}
@@ -375,9 +384,9 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, parser)
         _default(args, "tol", 1e-6)
-        if float(args.tol) <= 0:
+        if args.tol <= 0:
             raise ValueError("tol must be positive")
         return args.func(args)
     except (ValueError, json.JSONDecodeError) as exc:

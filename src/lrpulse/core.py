@@ -69,9 +69,9 @@ def hamiltonian_entries(schedule, t):
     from H, such as the invariant-branch phases, is relative to it. Times
     outside the schedule domain raise DomainError; the domain is widened by
     a relative 1e-9 because step grids that end at t_end can overshoot it by
-    round-off. A closure shared by pump and Stokes (Omega_s is Omega_p at
-    equal carriers, Delta_s is Delta_p) is evaluated once, and h32 is h12,
-    h33 is h11 when they are equal.
+    round-off. Pump and Stokes share the carrier, and a closure they share
+    is evaluated once: h32 is h12 when Omega_s is Omega_p, and h33 is h11
+    when Delta_s is Delta_p.
     """
     t = np.asarray(t, dtype=float)
     slack = 1e-9 * max(1.0, abs(schedule.t_start), abs(schedule.t_end))
@@ -79,20 +79,14 @@ def hamiltonian_entries(schedule, t):
                        and t.max() <= schedule.t_end + slack):
         raise DomainError(f"t in [{t.min()}, {t.max()}] outside schedule "
                           f"domain [{schedule.t_start}, {schedule.t_end}]")
-    h12 = (np.asarray(schedule.Omega_p(t), dtype=complex)
-           * np.cos(schedule.omega_p * t))
-    if (schedule.Omega_s is schedule.Omega_p
-            and schedule.omega_s == schedule.omega_p):
-        h32 = h12
-    else:
-        h32 = (np.asarray(schedule.Omega_s(t), dtype=complex)
-               * np.cos(schedule.omega_s * t))
-    delta_p = np.asarray(schedule.Delta_p(t), dtype=float)
-    delta_s = (delta_p if schedule.Delta_s is schedule.Delta_p
-               else np.asarray(schedule.Delta_s(t), dtype=float))
-    h11 = -schedule.omega_p - delta_p
-    h33 = (h11 if delta_s is delta_p and schedule.omega_s == schedule.omega_p
-           else -schedule.omega_s - delta_s)
+    h12 = np.asarray(schedule.Omega_p(t), dtype=complex)
+    carrier = np.cos(schedule.omega * t)   # sampled after Omega_p: lower peak memory
+    h12 = h12 * carrier
+    h32 = (h12 if schedule.Omega_s is schedule.Omega_p
+           else np.asarray(schedule.Omega_s(t), dtype=complex) * carrier)
+    h11 = -schedule.omega - np.asarray(schedule.Delta_p(t), dtype=float)
+    h33 = (h11 if schedule.Delta_s is schedule.Delta_p
+           else -schedule.omega - np.asarray(schedule.Delta_s(t), dtype=float))
     return h11, h12, h32, h33
 
 
@@ -185,8 +179,6 @@ def invariance_residual(schedule, aux_traj, t, h: float):
 
     Vanishes as O(h^2) for schedules synthesized from aux_traj.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
     H = hamiltonian_at(schedule, t)
     I = invariant_at(aux_traj.at(t))
     dI = central_diff(lambda u: invariant_at(aux_traj.at(u)), t, h)

@@ -87,7 +87,7 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
     t1 = schedule.t_end if cfg.t_end is None else cfg.t_end
     if not (schedule.t_start - 1e-12 <= t0 <= t1 <= schedule.t_end + 1e-12):
         raise ValueError("propagation window outside schedule domain")
-    n_steps = max(1, int(np.ceil((t1 - t0) / (TWO_PI / schedule.omega_p)
+    n_steps = max(1, int(np.ceil((t1 - t0) / (TWO_PI / schedule.omega)
                                  * cfg.steps_per_carrier_period)))
     dt = (t1 - t0) / n_steps
     stride = cfg.record_stride or max(1, cfg.steps_per_carrier_period // 10)

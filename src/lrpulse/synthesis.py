@@ -35,6 +35,8 @@ KAPPA_SUP = 1.0 / (2.0 * SQRT2)   # supremum of Omega0/omega for strategy C
 _RUNNING_CELLS_PER_PERIOD = 64
 _CALIBRATION_CELLS_PER_PERIOD = 8
 _GENERAL_TRAJECTORY_CELLS = 4096
+_REDUCED_ALPHA = np.pi / 4       # the reduced invariant's constant alpha
+_OMEGA_T_MAX = 2000.0 * np.pi    # end of the calibrations' omega*T search
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +86,8 @@ def _const(value: float) -> Callable:
 
 
 def reduced_trajectory(beta: Callable, beta_dot: Callable, omega: float,
-                       t_start: float, t_end: float,
-                       alpha: float = np.pi / 4) -> AuxiliaryTrajectory:
-    """Trajectory with constant alpha, lambda = 0, and theta_dot = -omega.
+                       t_start: float, t_end: float) -> AuxiliaryTrajectory:
+    """Trajectory with alpha = pi/4, lambda = 0, and theta_dot = -omega.
 
     epsilon accumulates as omega * integral of sin(beta)^2, which keeps the
     phase-rate relation regular even where sin(beta) vanishes. The branch
@@ -102,7 +103,7 @@ def reduced_trajectory(beta: Callable, beta_dot: Callable, omega: float,
     eps = RunningIntegral(eps_dot, t_start, t_end, n_cells)
     phase = lambda t: omega * (np.asarray(t, dtype=float) - t_start) - eps(t)
     return AuxiliaryTrajectory(
-        alpha=_const(alpha), alpha_dot=_const(0.0),
+        alpha=_const(_REDUCED_ALPHA), alpha_dot=_const(0.0),
         beta=beta, beta_dot=beta_dot,
         epsilon=eps, epsilon_dot=eps_dot,
         lam=_const(0.0), lam_dot=_const(0.0),
@@ -148,13 +149,13 @@ def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Evaluable complex envelopes, detunings, and carrier frequencies.
+    """Evaluable complex envelopes and detunings on one carrier frequency.
 
-    Envelopes and detunings are callables of scalar or array times.
+    Pump and Stokes share the carrier omega; envelopes and detunings are
+    callables of scalar or array times.
     """
 
-    omega_p: float
-    omega_s: float
+    omega: float
     Omega_p: Callable
     Omega_s: Callable
     Delta_p: Callable
@@ -166,23 +167,16 @@ class PulseSchedule:
     trajectory: AuxiliaryTrajectory | None = None
 
     def __post_init__(self):
-        if self.omega_p <= 0 or self.omega_s <= 0:
-            raise ValueError("carrier frequencies must be positive")
-
-    @property
-    def omega(self) -> float:
-        """Common carrier frequency (strategies all use omega_p = omega_s)."""
-        if self.omega_p != self.omega_s:
-            raise ValueError("schedule has distinct carrier frequencies")
-        return self.omega_p
+        if self.omega <= 0:
+            raise ValueError("carrier frequency must be positive")
 
     def header(self) -> dict:
-        return {"schema_version": 1, "omega": self.omega_p,
+        return {"schema_version": 1, "omega": self.omega,
                 "strategy": self.strategy, "params": self.params,
                 "t_start": self.t_start, "t_end": self.t_end}
 
     def sample_times(self, samples_per_period: int = 200) -> np.ndarray:
-        n = max(2, int(np.ceil((self.t_end - self.t_start) * self.omega_p
+        n = max(2, int(np.ceil((self.t_end - self.t_start) * self.omega
                                / TWO_PI * samples_per_period)))
         return np.linspace(self.t_start, self.t_end, n + 1)
 
@@ -190,12 +184,17 @@ class PulseSchedule:
                   time_scale: float = 1.0) -> None:
         """Write sampled envelopes and detuning, JSON header in a comment line.
 
-        The time column is t / time_scale.
+        The time column is t / time_scale. Raises ValueError for distinct
+        pump and Stokes detunings, which the one delta column cannot hold.
         """
         ts = self.sample_times(samples_per_period)
         op = np.asarray(self.Omega_p(ts), dtype=complex)
         os_ = np.asarray(self.Omega_s(ts), dtype=complex)
         dd = np.asarray(self.Delta_p(ts), dtype=float)
+        if (self.Delta_s is not self.Delta_p
+                and np.max(np.abs(self.Delta_s(ts) - dd)) > 1e-12 * self.omega):
+            raise ValueError("Stokes detuning differs from the pump detuning; "
+                             "a schedule file holds one detuning column")
         np.savetxt(path, np.column_stack([ts / time_scale, op.real, op.imag,
                                           os_.real, os_.imag, dd]),
                    fmt="%.12g", delimiter=",", comments="",
@@ -206,15 +205,17 @@ class PulseSchedule:
 def load_schedule_csv(path):
     """Read back a schedule CSV: (header dict, record array of columns).
 
-    Raises ValueError naming the data row and column of the first cell that
-    is not a finite number.
+    Raises ValueError when there are fewer than 2 data rows, and names the
+    data row and column of the first cell that is not a finite number.
     """
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("# "):
             raise ValueError(f"{path}: missing JSON header line")
         meta = json.loads(first[2:])
-        data = np.genfromtxt(fh, delimiter=",", names=True)
+        data = np.genfromtxt(fh, delimiter=",", names=True, ndmin=1)
+    if data.size < 2:
+        raise ValueError(f"{path}: {data.size} data rows, at least 2 needed")
     for name in data.dtype.names:
         bad = np.flatnonzero(~np.isfinite(data[name]))
         if bad.size:
@@ -281,44 +282,44 @@ def _branch(aux: AuxiliaryTrajectory, omega: float, pump: bool):
     return numerator, detuning
 
 
-def synthesize_general(aux: AuxiliaryTrajectory, omega_p: float,
-                       omega_s: float) -> PulseSchedule:
-    """Envelopes and detunings realizing the given trajectory exactly.
+def synthesize_general(aux: AuxiliaryTrajectory, omega: float) -> PulseSchedule:
+    """Envelopes and detunings on carrier omega realizing the given
+    trajectory exactly.
 
     The envelope is a quotient by the carrier cosine; trajectories whose
     numerator does not vanish at a carrier zero are rejected because they
     would need an unbounded pulse there.
     """
     probe = np.linspace(aux.t_start, aux.t_end, 1001)
+    zeros = carrier_singular_times(omega, aux.t_start, aux.t_end)
 
-    def envelope_and_detuning(carrier, pump):
-        num, detuning = _branch(aux, carrier, pump)
-        scale = max(float(np.max(np.abs(num(probe)))), carrier)
-        tz = carrier_singular_times(carrier, aux.t_start, aux.t_end)
-        bad = tz[np.abs(num(tz)) > 1e-7 * scale]
+    def envelope_and_detuning(pump):
+        num, detuning = _branch(aux, omega, pump)
+        scale = max(float(np.max(np.abs(num(probe)))), omega)
+        bad = zeros[np.abs(num(zeros)) > 1e-7 * scale]
         if bad.size:
             raise SynthesisError(
                 f"{'pump' if pump else 'Stokes'} envelope is singular at "
                 f"t={bad[0]:.9g}: numerator does not vanish with the carrier cosine")
 
         def envelope(t):
-            c = np.cos(carrier * t)
+            c = np.cos(omega * t)
             near = np.abs(c) < _CARRIER_ZERO_TOL
             with np.errstate(divide="ignore", invalid="ignore"):
                 val = np.asarray(num(t) / c, dtype=complex)
             if np.any(near):
-                tz = _nearest_carrier_zero(carrier, t)
-                h = 1e-6 * TWO_PI / carrier
+                tz = _nearest_carrier_zero(omega, t)
+                h = 1e-6 * TWO_PI / omega
                 lim = (num(tz + h) - num(tz - h)) / (2 * h) \
-                    / (-carrier * np.sin(carrier * tz))
+                    / (-omega * np.sin(omega * tz))
                 val = np.where(near, lim, val)
             return val
         return envelope, detuning
 
-    Omega_p, Delta_p = envelope_and_detuning(omega_p, True)
-    Omega_s, Delta_s = envelope_and_detuning(omega_s, False)
+    Omega_p, Delta_p = envelope_and_detuning(True)
+    Omega_s, Delta_s = envelope_and_detuning(False)
     return PulseSchedule(
-        omega_p=omega_p, omega_s=omega_s, Omega_p=Omega_p, Omega_s=Omega_s,
+        omega=omega, Omega_p=Omega_p, Omega_s=Omega_s,
         Delta_p=Delta_p, Delta_s=Delta_s, t_start=aux.t_start, t_end=aux.t_end,
         strategy="general", params={}, trajectory=aux)
 
@@ -335,7 +336,7 @@ def _reduced_schedule(strategy: str, params: dict, beta: Callable,
     traj = reduced_trajectory(beta, beta_dot, omega, t_start, t_end)
     delta = lambda t: -2.0 * traj.epsilon_dot(t)
     return PulseSchedule(
-        omega_p=omega, omega_s=omega, Omega_p=envelope, Omega_s=envelope,
+        omega=omega, Omega_p=envelope, Omega_s=envelope,
         Delta_p=delta, Delta_s=delta, t_start=t_start, t_end=t_end,
         strategy=strategy, params=params, trajectory=traj)
 
@@ -389,8 +390,8 @@ def strategy_a(A: float, omega: float, T: float) -> PulseSchedule:
                              *_beta_a(f, fdot, omega), envelope, omega, 0.0, T)
 
 
-def _solve_omega_T(beta_of: Callable, param: float, tol: float,
-                   u_max: float = 2000.0 * np.pi) -> CalibrationResult:
+def _solve_omega_T(beta_of: Callable, param: float,
+                   tol: float) -> CalibrationResult:
     """Smallest u = omega*T with accumulated epsilon equal to pi.
 
     beta_of(u) is the mixing angle at omega*T = u as a function of the
@@ -414,7 +415,7 @@ def _solve_omega_T(beta_of: Callable, param: float, tol: float,
     while True:
         hi = hi + step
         n_march += 1
-        if hi > u_max:
+        if hi > _OMEGA_T_MAX:
             raise CalibrationError("no omega*T bracket found in search range")
         ghi = g(hi)
         if glo * ghi <= 0:

@@ -20,6 +20,9 @@ PHASE_TOL_OVER_OMEGA = 1e-6
 ANALYTIC_TOL = 1e-4
 SLOPE_TOL = 0.1
 FILE_RESIDUAL_TOL_OVER_OMEGA = 1e-3   # interpolated samples, not closed forms
+_SPECTRUM_SAMPLES = 25                # trajectory times per check
+_RESIDUAL_SAMPLES = 50                # invariance and file invariance
+_PHASE_SAMPLES = 20
 
 
 def _interior_times(schedule: PulseSchedule, n: int, margin: float) -> np.ndarray:
@@ -36,11 +39,11 @@ def _interior_times(schedule: PulseSchedule, n: int, margin: float) -> np.ndarra
     return ts
 
 
-def check_spectrum(schedule: PulseSchedule, n_samples: int = 25) -> dict:
+def check_spectrum(schedule: PulseSchedule) -> dict:
     """Invariant hermiticity, eigenvalues {-1, 0, 1}, and eigenvector
     orthonormality along the trajectory."""
     aux = schedule.trajectory.at(
-        np.linspace(schedule.t_start, schedule.t_end, n_samples))
+        np.linspace(schedule.t_start, schedule.t_end, _SPECTRUM_SAMPLES))
     I = invariant_at(aux)
     V = np.stack(invariant_eigenvectors(aux), axis=-1)   # columns +1, -1, 0
     herm = float(np.max(np.abs(I - np.conj(np.swapaxes(I, -1, -2)))))
@@ -61,15 +64,15 @@ def check_spectrum(schedule: PulseSchedule, n_samples: int = 25) -> dict:
     }
 
 
-def check_invariance(schedule: PulseSchedule, n_samples: int = 50) -> dict:
+def check_invariance(schedule: PulseSchedule) -> dict:
     """Invariance residual at small h, plus its quadratic decay in h."""
     traj = schedule.trajectory
-    omega = schedule.omega_p
+    omega = schedule.omega
     span = schedule.t_end - schedule.t_start
     h_small = span * 1e-6
     period = TWO_PI / omega
     h_slope = period * 1e-2
-    ts = _interior_times(schedule, n_samples, margin=2 * h_slope)
+    ts = _interior_times(schedule, _RESIDUAL_SAMPLES, margin=2 * h_slope)
     worst = float(np.max(invariance_residual(schedule, traj, ts, h_small)))
     t_mid = ts[len(ts) // 2]
     resid = [invariance_residual(schedule, traj, t_mid, h_slope / 2 ** i)
@@ -100,7 +103,7 @@ def lr_phase_rates_numeric(schedule: PulseSchedule, t,
     every rate by -c(t). Only their differences are observable.
     """
     traj = schedule.trajectory
-    h = h or (TWO_PI / schedule.omega_p) * 1e-6
+    h = h or (TWO_PI / schedule.omega) * 1e-6
 
     def phi(u):
         return np.stack(invariant_eigenvectors(traj.at(u)), axis=-1)
@@ -111,14 +114,14 @@ def lr_phase_rates_numeric(schedule: PulseSchedule, t,
     return tuple(np.moveaxis(rates, -1, 0))
 
 
-def check_phase_consistency(schedule: PulseSchedule, n_samples: int = 20) -> dict:
+def check_phase_consistency(schedule: PulseSchedule) -> dict:
     """The phases attached to each branch must integrate the measured rates:
     d/dt of phase_plus/minus/zero equals <phi_k| i d/dt - H |phi_k>."""
     traj = schedule.trajectory
-    omega = schedule.omega_p
+    omega = schedule.omega
     period = TWO_PI / omega
     h = period * 1e-4
-    ts = _interior_times(schedule, n_samples, margin=2 * h)
+    ts = _interior_times(schedule, _PHASE_SAMPLES, margin=2 * h)
     measured = np.stack(lr_phase_rates_numeric(schedule, ts))
     declared = np.stack([central_diff(phase, ts, h) for phase in
                          (traj.phase_plus, traj.phase_minus, traj.phase_zero)])
@@ -143,8 +146,7 @@ def check_analytic_agreement(schedule: PulseSchedule,
     return {"max_deviation": dev, "passed": bool(dev < ANALYTIC_TOL)}
 
 
-def check_file_invariance(schedule: PulseSchedule, meta: dict,
-                          data: np.ndarray, n_samples: int = 50) -> dict:
+def check_file_invariance(schedule: PulseSchedule, data: np.ndarray) -> dict:
     """Invariance residual with the Hamiltonian rebuilt from file samples.
 
     Envelopes are linearly interpolated between samples, so the tolerance is
@@ -154,20 +156,17 @@ def check_file_invariance(schedule: PulseSchedule, meta: dict,
     scale = (schedule.t_end - schedule.t_start) / (data["t"][-1] - data["t"][0]) \
         if data["t"][-1] != data["t"][0] else 1.0
     ts_file = data["t"] * scale
-    op = data["re_omega_p"] + 1j * data["im_omega_p"]
-    os_ = data["re_omega_s"] + 1j * data["im_omega_s"]
 
-    from_file = dataclasses.replace(
-        schedule,
-        Omega_p=lambda t: np.interp(t, ts_file, op.real)
-        + 1j * np.interp(t, ts_file, op.imag),
-        Omega_s=lambda t: np.interp(t, ts_file, os_.real)
-        + 1j * np.interp(t, ts_file, os_.imag),
-        Delta_p=lambda t: np.interp(t, ts_file, data["delta"]),
-        Delta_s=lambda t: np.interp(t, ts_file, data["delta"]))
-    omega = schedule.omega_p
+    def envelope(field):
+        return lambda t: (np.interp(t, ts_file, data["re_omega_" + field])
+                          + 1j * np.interp(t, ts_file, data["im_omega_" + field]))
+
+    delta = lambda t: np.interp(t, ts_file, data["delta"])
+    from_file = dataclasses.replace(schedule, Delta_p=delta, Delta_s=delta,
+                                    Omega_p=envelope("p"), Omega_s=envelope("s"))
+    omega = schedule.omega
     h = (schedule.t_end - schedule.t_start) * 1e-6
-    ts = _interior_times(schedule, n_samples, margin=2 * h)
+    ts = _interior_times(schedule, _RESIDUAL_SAMPLES, margin=2 * h)
     worst = float(np.max(invariance_residual(from_file, schedule.trajectory,
                                              ts, h)))
     return {
@@ -188,8 +187,7 @@ def run_verification(schedule: PulseSchedule, csv: tuple | None = None,
                                                        steps_per_period),
     }
     if csv is not None:
-        meta, data = csv
-        checks["file_invariance"] = check_file_invariance(schedule, meta, data)
+        checks["file_invariance"] = check_file_invariance(schedule, csv[1])
     return {
         "schema_version": 1,
         "schedule": schedule.header(),

@@ -140,6 +140,19 @@ class TestVerify:
                      "--schedule", str(bad)]) == EXIT_VALIDATION
         assert "data row 11, column 're_omega_p'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_short_schedule_file_fails(self, tmp_path, capsys, n_rows):
+        # a file needs two data rows to span the schedule domain
+        sched = tmp_path / "s.csv"
+        assert main(["synth", "--strategy", "a", "--A", "0.5",
+                     "--out", str(sched)]) == EXIT_OK
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(sched.read_text().splitlines()[:2 + n_rows])
+                         + "\n")
+        assert main(["verify", "--strategy", "a", "--A", "0.5",
+                     "--schedule", str(short)]) == EXIT_VALIDATION
+        assert f"error: {short}: {n_rows} data rows" in capsys.readouterr().err
+
     def test_b_neglect_imag_fails_invariance_only(self, tmp_path):
         # dropping the imaginary envelope part breaks the invariant at every
         # time, not only in the patch windows (residual ~6e-2 omega)
@@ -266,3 +279,30 @@ class TestConfigFile:
         cfg.write_text("{not json")
         assert main(["synth", "--config", str(cfg),
                      "--out", str(cfg.parent / "o.csv")]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command,config,key", [
+        ("synth", {"strategy": "c", "Omega0_over_omega": 0.3, "n_periods": 2.5},
+         "n_periods"),
+        ("simulate", {"strategy": "c", "Omega0_over_omega": 0.3, "n_periods": 1,
+                      "steps_per_period": 150.9}, "steps_per_period"),
+        ("synth", {"strategy": "b", "B": 0.5, "neglect_imag": "no"},
+         "neglect_imag"),
+        ("synth", {"strategy": "a", "A": True}, "A"),
+    ], ids=["fractional_int", "fractional_steps", "string_switch", "bool_float"])
+    def test_value_gets_its_flag_type_check(self, tmp_path, capsys, command,
+                                            config, key):
+        # --n-periods 2.5 is rejected, so the config value 2.5 is too
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_untyped_value_is_read_as_a_string(self, tmp_path, monkeypatch):
+        # like the flag --summary 5, the config value 5 names the file "5"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"strategy": "c", "Omega0_over_omega": 0.3, "n_periods": 1,
+             "summary": 5}))
+        assert main(["simulate", "--config", "cfg.json"]) == EXIT_OK
+        assert json.loads((tmp_path / "5").read_text())["steps"] > 0

@@ -21,9 +21,9 @@ def random_aux(rng, n: int) -> AuxParams:
     return AuxParams(alpha=alpha, beta=beta, epsilon=epsilon, lam=lam)
 
 
-def simple_schedule(omega_p=10.0) -> PulseSchedule:
+def simple_schedule(omega=10.0) -> PulseSchedule:
     return PulseSchedule(
-        omega_p=omega_p, omega_s=10.0,
+        omega=omega,
         Omega_p=lambda t: 0.3 + 0.1j,
         Omega_s=lambda t: 0.2 - 0.05j,
         Delta_p=lambda t: -0.4,
@@ -66,7 +66,7 @@ class TestHamiltonian:
 
     def test_bad_carrier(self):
         with pytest.raises(ValueError):
-            simple_schedule(omega_p=-1.0)
+            simple_schedule(omega=-1.0)
 
     def test_shared_closures_sampled_once(self):
         # strategies a, b and c pass one closure for pump and Stokes

@@ -59,7 +59,7 @@ class TestPropagate:
     def test_non_finite_envelope_rejected(self):
         base = zero_schedule()
         bad = PulseSchedule(
-            omega_p=base.omega_p, omega_s=base.omega_s,
+            omega=base.omega,
             Omega_p=lambda t: np.full_like(np.asarray(t, dtype=float),
                                            np.nan, dtype=complex),
             Omega_s=base.Omega_s, Delta_p=base.Delta_p, Delta_s=base.Delta_s,
@@ -87,7 +87,7 @@ def scalar_rk4(schedule, psi0, cfg):
     (times, states)."""
     t0 = schedule.t_start if cfg.t_start is None else cfg.t_start
     t1 = schedule.t_end if cfg.t_end is None else cfg.t_end
-    n_steps = max(1, int(np.ceil((t1 - t0) / (TWO_PI / schedule.omega_p)
+    n_steps = max(1, int(np.ceil((t1 - t0) / (TWO_PI / schedule.omega)
                                  * cfg.steps_per_carrier_period)))
     dt = (t1 - t0) / n_steps
     stride = cfg.record_stride or max(1, cfg.steps_per_carrier_period // 10)

@@ -77,12 +77,27 @@ class TestReducedTrajectory:
         assert traj.phase_zero(t) == pytest.approx(-eps)
 
 
+def lambda_trajectory():
+    """A trajectory with nonconstant lambda on [0.3, 0.7], a window free of
+    the zeros of cos(2*pi*t)."""
+    t0, t1 = 0.3, 0.7
+    beta = lambda t: 0.9 + 0.2 * np.sin(np.pi * (np.asarray(t) - t0) / (t1 - t0))
+    beta_dot = lambda t: 0.2 * np.pi / (t1 - t0) \
+        * np.cos(np.pi * (np.asarray(t) - t0) / (t1 - t0))
+    eps = lambda t: 0.5 * (np.asarray(t) - t0)
+    eps_dot = lambda t: 0.5 + 0.0 * np.asarray(t)
+    lam = lambda t: 0.15 * np.sin(2 * np.pi * (np.asarray(t) - t0))
+    lam_dot = lambda t: 0.3 * np.pi * np.cos(2 * np.pi * (np.asarray(t) - t0))
+    return general_trajectory(np.pi / 3, beta, beta_dot, eps, eps_dot,
+                              lam, lam_dot, t0, t1)
+
+
 class TestSynthesizeGeneral:
     def test_matches_strategy_a(self):
         # the factored strategy-a envelope and the generic quotient must agree
         omega, T, A = 30.0, 1.0, 0.5
         sch_a = strategy_a(A, omega, T)
-        sch_g = synthesize_general(sch_a.trajectory, omega, omega)
+        sch_g = synthesize_general(sch_a.trajectory, omega)
         ts = np.linspace(0.013, T - 0.013, 401)
         assert np.max(np.abs(sch_a.Omega_p(ts) - sch_g.Omega_p(ts))) < 1e-7
         assert np.max(np.abs(sch_a.Delta_p(ts) - sch_g.Delta_p(ts))) < 1e-9
@@ -96,21 +111,12 @@ class TestSynthesizeGeneral:
             * np.sin(2 * np.pi * np.asarray(t) / T)
         traj = reduced_trajectory(beta, beta_dot, omega, 0.0, T)
         with pytest.raises(SynthesisError):
-            synthesize_general(traj, omega, omega)
+            synthesize_general(traj, omega)
 
     def test_general_lambda_trajectory(self):
-        # nonconstant lambda on a window free of carrier zeros
         t0, t1, w = 0.3, 0.7, 2 * np.pi
-        beta = lambda t: 0.9 + 0.2 * np.sin(np.pi * (np.asarray(t) - t0) / (t1 - t0))
-        beta_dot = lambda t: 0.2 * np.pi / (t1 - t0) \
-            * np.cos(np.pi * (np.asarray(t) - t0) / (t1 - t0))
-        eps = lambda t: 0.5 * (np.asarray(t) - t0)
-        eps_dot = lambda t: 0.5 + 0.0 * np.asarray(t)
-        lam = lambda t: 0.15 * np.sin(2 * np.pi * (np.asarray(t) - t0))
-        lam_dot = lambda t: 0.3 * np.pi * np.cos(2 * np.pi * (np.asarray(t) - t0))
-        traj = general_trajectory(np.pi / 3, beta, beta_dot, eps, eps_dot,
-                                  lam, lam_dot, t0, t1)
-        sch = synthesize_general(traj, w, w)
+        traj = lambda_trajectory()
+        sch = synthesize_general(traj, w)
         for t in np.linspace(t0 + 0.02, t1 - 0.02, 9):
             assert invariance_residual(sch, traj, t, 1e-7) < 1e-7
             assert traj.constraint_residual(t) < 1e-9
@@ -132,7 +138,7 @@ class TestSynthesizeGeneral:
             lambda t: np.full(np.shape(t), eps_rate),
             lambda t: lam_amp * np.sin(y(t)),
             lambda t: 2 * np.pi * lam_amp * np.cos(y(t)), t0, t1)
-        sch = synthesize_general(traj, w, w)
+        sch = synthesize_general(traj, w)
         ts = np.linspace(t0 + 0.02, t1 - 0.02, 9)
         assert np.max(invariance_residual(sch, traj, ts, 1e-7)) < 1e-7
 
@@ -322,6 +328,17 @@ class TestCsvRoundTrip:
         ts = data["t"]
         vals = np.asarray(sch.Omega_p(ts), dtype=complex)
         assert np.max(np.abs(data["re_omega_p"] - vals.real)) < 1e-10
+
+    def test_distinct_detunings_rejected(self, tmp_path):
+        # the file's one delta column cannot hold a Stokes detuning that
+        # differs from the pump's (by up to 0.23 here)
+        sch = synthesize_general(lambda_trajectory(), 2 * np.pi)
+        with pytest.raises(ValueError, match="Stokes detuning"):
+            sch.write_csv(tmp_path / "general.csv")
+        # lambda = 0: the two detuning formulas agree up to round-off
+        omega = 30.0
+        sch = synthesize_general(strategy_a(0.5, omega, 1.0).trajectory, omega)
+        sch.write_csv(tmp_path / "reduced.csv")
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
