@@ -68,6 +68,14 @@ def _write_json(path: str, obj: dict) -> None:
 # config plumbing
 # ---------------------------------------------------------------------------
 
+def finite_float(text: str) -> float:
+    """The type of every float option: a float that is neither nan nor inf."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text}")
+    return value
+
+
 def _merge_config(args: argparse.Namespace,
                   parser: argparse.ArgumentParser) -> argparse.Namespace:
     """Fill unset options from the JSON config file, if one was given; a value
@@ -300,28 +308,31 @@ def cmd_calibrate_c(args) -> int:
 
 def _add_common(p):
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--tol", type=float,
+    p.add_argument("--tol", type=finite_float,
                    help="calibration tolerance (default 1e-6)")
 
 
 def _add_strategy(p):
     p.add_argument("--strategy", choices=("a", "b", "c"))
-    p.add_argument("--A", type=float, help="strategy-a window amplitude")
-    p.add_argument("--B", type=float, help="strategy-b window amplitude")
-    p.add_argument("--T", type=float, help="schedule duration in seconds "
+    p.add_argument("--A", type=finite_float, help="strategy-a window amplitude")
+    p.add_argument("--B", type=finite_float, help="strategy-b window amplitude")
+    p.add_argument("--T", type=finite_float, help="schedule duration in seconds "
                    "(strategies a/b, default 1.0)")
-    p.add_argument("--omega-T-over-pi", dest="omega_T_over_pi", type=float,
+    p.add_argument("--omega-T-over-pi", dest="omega_T_over_pi",
+                   type=finite_float,
                    help="override the calibrated omega*T (in units of pi)")
-    p.add_argument("--delta-t-over-T", dest="delta_t_over_T", type=float,
+    p.add_argument("--delta-t-over-T", dest="delta_t_over_T",
+                   type=finite_float,
                    help="strategy-b patch half-width in units of T (default 0.01)")
     p.add_argument("--neglect-imag", dest="neglect_imag", action="store_true",
                    default=None, help="strategy-b: drop the imaginary envelope part")
-    p.add_argument("--omega", type=float,
+    p.add_argument("--omega", type=finite_float,
                    help="strategy-c carrier frequency (default 1.0)")
-    p.add_argument("--Omega0-over-omega", dest="Omega0_over_omega", type=float,
+    p.add_argument("--Omega0-over-omega", dest="Omega0_over_omega",
+                   type=finite_float,
                    help="strategy-c amplitude ratio; omit to calibrate")
     p.add_argument("--target-delta-epsilon", dest="target_delta_epsilon",
-                   type=float,
+                   type=finite_float,
                    help="strategy-c per-period phase increment target "
                    "(default pi/6)")
     p.add_argument("--n-periods", dest="n_periods", type=int,
@@ -329,19 +340,25 @@ def _add_strategy(p):
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """The lrpulse parser; a flag value its type rejects raises
+    argparse.ArgumentError rather than exiting, so main exits 1 for it as
+    for the same value in a config file."""
     parser = argparse.ArgumentParser(
-        prog="lrpulse",
+        prog="lrpulse", exit_on_error=False,
         description="Invariant-based pulse design for driven three-level "
                     "systems beyond the rotating-wave approximation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tables", help="write a calibration table as CSV")
+    def command(name, summary):
+        return sub.add_parser(name, help=summary, exit_on_error=False)
+
+    p = command("tables", "write a calibration table as CSV")
     _add_common(p)
     p.add_argument("--which", choices=("I", "II"), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("synth", help="synthesize a pulse schedule CSV")
+    p = command("synth", "synthesize a pulse schedule CSV")
     _add_common(p)
     _add_strategy(p)
     p.add_argument("--out", required=True)
@@ -351,8 +368,7 @@ def make_parser() -> argparse.ArgumentParser:
                    "800 for strategy c)")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("simulate",
-                       help="synthesize, propagate, and report populations")
+    p = command("simulate", "synthesize, propagate, and report populations")
     _add_common(p)
     _add_strategy(p)
     p.add_argument("--out", help="population-trace CSV path")
@@ -361,7 +377,7 @@ def make_parser() -> argparse.ArgumentParser:
                    type=int, help="RK4 steps per carrier period (default 2000)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="run the self-check suites")
+    p = command("verify", "run the self-check suites")
     _add_common(p)
     _add_strategy(p)
     p.add_argument("--schedule", help="also validate this schedule CSV file")
@@ -370,11 +386,10 @@ def make_parser() -> argparse.ArgumentParser:
                    type=int, help="RK4 steps per carrier period (default 2000)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("calibrate-c",
-                       help="solve the strategy-c amplitude ratio")
+    p = command("calibrate-c", "solve the strategy-c amplitude ratio")
     _add_common(p)
     p.add_argument("--target-delta-epsilon", dest="target_delta_epsilon",
-                   type=float)
+                   type=finite_float)
     p.add_argument("--out", help="JSON result path")
     p.set_defaults(func=cmd_calibrate_c)
     return parser
@@ -382,14 +397,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser)
+        args = _merge_config(parser.parse_args(argv), parser)
         _default(args, "tol", 1e-6)
         if args.tol <= 0:
             raise ValueError("tol must be positive")
         return args.func(args)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, json.JSONDecodeError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (CalibrationError, ConvergenceError, SynthesisError,

@@ -37,6 +37,7 @@ _CALIBRATION_CELLS_PER_PERIOD = 8
 _GENERAL_TRAJECTORY_CELLS = 4096
 _REDUCED_ALPHA = np.pi / 4       # the reduced invariant's constant alpha
 _OMEGA_T_MAX = 2000.0 * np.pi    # end of the calibrations' omega*T search
+_BOUND_MARGIN = 1e-6             # quadrature allowance of the omega*T skip bound
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +177,10 @@ class PulseSchedule:
                 "t_start": self.t_start, "t_end": self.t_end}
 
     def sample_times(self, samples_per_period: int = 200) -> np.ndarray:
+        """At least 3 uniform times spanning the domain; raises ValueError
+        for a samples_per_period below 1."""
+        if not samples_per_period >= 1:
+            raise ValueError("samples_per_period must be at least 1")
         n = max(2, int(np.ceil((self.t_end - self.t_start) * self.omega
                                / TWO_PI * samples_per_period)))
         return np.linspace(self.t_start, self.t_end, n + 1)
@@ -390,26 +395,58 @@ def strategy_a(A: float, omega: float, T: float) -> PulseSchedule:
                              *_beta_a(f, fdot, omega), envelope, omega, 0.0, T)
 
 
-def _solve_omega_T(beta_of: Callable, param: float,
-                   tol: float) -> CalibrationResult:
+def _bessel_j0(z):
+    """J0(z) from its power series sum_k (-z^2/4)^k / (k!)^2; 20 terms reach
+    double precision for |z| <= 0.8, the largest window amplitude."""
+    q = -0.25 * z * z
+    term = total = 1.0
+    for k in range(1, 20):
+        term = term * q / (k * k)
+        total = total + term
+    return total
+
+
+def _carrier_mean_sin2(f):
+    """m(f) = (1 - cos(f) J0(f)) / 2, the mean of sin(f cos(theta)^2)^2 and of
+    sin(f/2 (1 - cos(theta)))^2 over theta, by J0(z) = (1/pi) int_0^pi
+    cos(z cos(theta)) dtheta (DLMF 10.9.1)."""
+    return 0.5 * (1.0 - np.cos(f) * _bessel_j0(f))
+
+
+def _solve_omega_T(beta_of: Callable, param: float, tol: float,
+                   rate: float, spread: float) -> CalibrationResult:
     """Smallest u = omega*T with accumulated epsilon equal to pi.
 
     beta_of(u) is the mixing angle at omega*T = u as a function of the
-    scaled time s = t/T in [0, 1].
+    scaled time s = t/T in [0, 1]. g(u) = eps(u) - pi is marched over
+    u = pi/2, pi, ... from the last point that eps(u) <= u*rate + spread < pi
+    places below the root; the skipped points are reached by the same
+    additions, so the bracket and the root are those of the full march.
+    iterations counts the march points evaluated plus the bisection steps.
+
+    rate is I = int_0^1 m(f(s)) ds, with f the window and
+    m(f) = (1 - cos(f) J0(f))/2 the carrier mean of sin(beta)^2
+    (_carrier_mean_sin2). Strategy B has eps(u) = u*I exactly. For strategy A, spread is C(A) = (3 pi/2) A^2: with
+    G(f, theta) = int_0^theta (sin(f cos^2)^2 - m(f)), integration by parts
+    gives eps(u) - u*I = -int_0^1 G_f(f(s), u*s) f'(s) ds, where
+    |G_f| <= 3 pi f/4 as a partial integral of a zero-mean periodic function,
+    and int |f'| = 2A. Both spreads add _BOUND_MARGIN for quadrature error.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a positive finite number")
 
     def eps_total(u):
         n_cells = _CALIBRATION_CELLS_PER_PERIOD * (1 + int(u / TWO_PI))
         beta = beta_of(u)
         return u * integrate(lambda s: np.sin(beta(s)) ** 2, 0.0, 1.0, n_cells)
 
-    # eps_total(u) <= u, so the march starts below the root
+    # eps_total(u) <= u, so g < 0 at the first march point pi/2 and at every
+    # point the bound places below the root
     g = lambda u: eps_total(u) - np.pi
     step = 0.5 * np.pi
     lo = step
-    glo = g(lo)
+    while lo + step <= _OMEGA_T_MAX and (lo + step) * rate + spread < np.pi:
+        lo = lo + step
     hi = lo
     n_march = 0
     while True:
@@ -417,10 +454,9 @@ def _solve_omega_T(beta_of: Callable, param: float,
         n_march += 1
         if hi > _OMEGA_T_MAX:
             raise CalibrationError("no omega*T bracket found in search range")
-        ghi = g(hi)
-        if glo * ghi <= 0:
+        if g(hi) >= 0:
             break
-        lo, glo = hi, ghi
+        lo = hi
     root, iters = find_root(g, Bracket(lo, hi), tol=min(tol, 1e-6))
     return CalibrationResult(input_value=param, value=root,
                              residual=abs(g(root)), iterations=n_march + iters)
@@ -429,7 +465,10 @@ def _solve_omega_T(beta_of: Callable, param: float,
 def solve_omega_T_for_A(A: float, tol: float = 1e-6) -> CalibrationResult:
     """omega*T completing a strategy-A transfer (accumulated epsilon = pi)."""
     window = _window(A, 1.0, "A")
-    return _solve_omega_T(lambda u: _beta_a(*window, u)[0], A, tol)
+    rate = integrate(lambda s: _carrier_mean_sin2(window[0](s)), 0.0, 1.0,
+                     _CALIBRATION_CELLS_PER_PERIOD)
+    return _solve_omega_T(lambda u: _beta_a(*window, u)[0], A, tol, rate,
+                          1.5 * np.pi * A * A + _BOUND_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +487,9 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
     f, fdot = _window(B, T, "B")
     if omega <= 0 or T <= 0:
         raise ValueError("omega and T must be positive")
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
-    if delta_t >= 0.5 * np.pi / omega:
-        raise ValueError("delta_t overlaps adjacent singular points")
+    if not 0.0 < delta_t < 0.5 * np.pi / omega:
+        raise ValueError("delta_t must lie in (0, pi/(2*omega)): a wider patch "
+                         "overlaps adjacent singular points")
     singulars = carrier_singular_times(omega, 0.0, T)
 
     def raw(t):
@@ -481,7 +519,8 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
 def solve_omega_T_for_B(B: float, tol: float = 1e-6) -> CalibrationResult:
     """omega*T completing a strategy-B transfer (accumulated epsilon = pi)."""
     f, _ = _window(B, 1.0, "B")
-    return _solve_omega_T(lambda u: f, B, tol)
+    return _solve_omega_T(lambda u: f, B, tol, _carrier_mean_sin2(B),
+                          _BOUND_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +582,10 @@ def delta_epsilon_per_period(Omega0_over_omega: float) -> float:
 def calibrate_strategy_c(target_delta_epsilon: float,
                          tol: float = 1e-6) -> CalibrationResult:
     """Omega0/omega whose per-period epsilon increment hits the target."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a positive finite number")
+    if not np.isfinite(target_delta_epsilon):
+        raise ValueError("target delta epsilon must be a finite number")
     if target_delta_epsilon == 0.0:
         return CalibrationResult(0.0, 0.0, 0.0, 0)
     hi = KAPPA_SUP * (1.0 - 1e-12)

@@ -228,6 +228,49 @@ class TestCalibrateC:
             == EXIT_NONCONVERGENCE
 
 
+class TestNonFiniteInputs:
+    B = ["synth", "--strategy", "b", "--B", "0.5"]
+
+    CASES = [
+        pytest.param(B + ["--delta-t-over-T", "nan"], {}, "--delta-t-over-T",
+                     id="delta_t"),
+        pytest.param(B + ["--omega-T-over-pi", "nan"], {}, "--omega-T-over-pi",
+                     id="omega_T"),
+        pytest.param(B + ["--T", "inf"], {}, "--T", id="T"),
+        pytest.param(["synth", "--strategy", "a", "--A", "0.5", "--tol", "nan"],
+                     {}, "--tol", id="tol"),
+        pytest.param(["calibrate-c", "--target-delta-epsilon", "nan"], {},
+                     "--target-delta-epsilon", id="target"),
+        pytest.param(B, {"delta_t_over_T": float("nan")}, "'delta_t_over_T'",
+                     id="delta_t-config"),
+        pytest.param(["calibrate-c"], {"tol": float("inf")}, "'tol'",
+                     id="tol-config"),
+    ]
+
+    @pytest.mark.parametrize("argv,config,option", CASES)
+    def test_rejected(self, tmp_path, capsys, argv, config, option):
+        out = tmp_path / "o.csv"
+        argv = [*argv, "--out", str(out)]
+        if config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))   # NaN and Infinity tokens
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and option in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_non_positive_sample_count(self, tmp_path, capsys, count):
+        out = tmp_path / "o.csv"
+        assert main(["synth", "--strategy", "c", "--Omega0-over-omega", "0.3",
+                     "--n-periods", "1", "--samples-per-period", count,
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "error: samples_per_period must be at least 1" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_config_merge_and_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -11,7 +11,8 @@ from lrpulse import (calibrate_strategy_c, carrier_singular_times,
                      solve_omega_T_for_A, solve_omega_T_for_B, strategy_a,
                      strategy_b, strategy_c, synthesize_general)
 from lrpulse.errors import CalibrationError, SynthesisError
-from lrpulse.synthesis import KAPPA_SUP
+from lrpulse.numerics import Bracket, find_root, integrate
+from lrpulse.synthesis import KAPPA_SUP, _bessel_j0, _carrier_mean_sin2
 
 
 def simpson(f, a, b, n):
@@ -36,6 +37,41 @@ def wallis_delta_epsilon(kappa, terms=400):
             wallis /= j * j
         total += coeff * wallis
     return -np.pi * total
+
+
+def trapezoid_j0(z, n=64):
+    """(1/pi) int_0^pi cos(z cos(theta)) dtheta by the trapezoid rule, which
+    is spectrally accurate for this even periodic integrand."""
+    theta = np.linspace(0.0, np.pi, n + 1)
+    ys = np.cos(np.multiply.outer(z, np.cos(theta)))
+    return (ys.sum(axis=-1) - 0.5 * (ys[..., 0] + ys[..., -1])) / n
+
+
+def full_march_omega_T(beta_of, tol=1e-6):
+    """(value, residual) of the omega*T calibration with g evaluated at every
+    march point u = pi/2, pi, ... up to the first sign change, then bisected
+    with the package's integrate and find_root."""
+    two_pi = 2.0 * np.pi
+
+    def g(u):
+        beta = beta_of(u)
+        return u * integrate(lambda s: np.sin(beta(s)) ** 2, 0.0, 1.0,
+                             8 * (1 + int(u / two_pi))) - np.pi
+
+    step = 0.5 * np.pi
+    lo = hi = step
+    while True:
+        hi = hi + step
+        if g(hi) >= 0:
+            break
+        lo = hi
+    root, _ = find_root(g, Bracket(lo, hi), tol=min(tol, 1e-6))
+    return root, abs(g(root))
+
+
+def unit_window(amp):
+    """The calibrations' window on s = t/T, in the package's operation order."""
+    return lambda s: 0.5 * amp * (1.0 - np.cos(2.0 * np.pi * s / 1.0))
 
 
 def window_beta(A, T, omega):
@@ -205,6 +241,8 @@ class TestStrategyB:
             strategy_b(0.5, 30.0, 1.0, -0.1)
         with pytest.raises(ValueError):
             strategy_b(0.5, 30.0, 1.0, 0.2)   # overlaps adjacent zeros
+        with pytest.raises(ValueError, match="delta_t must lie in"):
+            strategy_b(0.5, 30.0, 1.0, np.nan)
 
 
 class TestAmplitudeBounds:
@@ -273,6 +311,58 @@ class TestCalibration:
         sch = strategy_a(0.45, omega, 1.0)
         assert sch.trajectory.epsilon(1.0) == pytest.approx(np.pi, abs=1e-4)
 
+    @pytest.mark.parametrize("A", [0.3, 0.5, 0.8])
+    def test_omega_T_for_A_equals_full_march(self, A):
+        f = unit_window(A)
+        value, residual = full_march_omega_T(
+            lambda u: lambda s: f(s) * np.cos(u * s) ** 2)
+        cal = solve_omega_T_for_A(A)
+        assert cal.value == value
+        assert cal.residual == residual
+
+    @pytest.mark.parametrize("B", [0.4, 0.6, 0.8])
+    def test_omega_T_for_B_equals_full_march(self, B):
+        value, residual = full_march_omega_T(lambda u: unit_window(B))
+        cal = solve_omega_T_for_B(B)
+        assert cal.value == value
+        assert cal.residual == residual
+
+    def test_omega_T_march_skips_bounded_points(self):
+        # iterations counts the march points evaluated and the bisections;
+        # the full march takes 380 at A = 0.2 and 56 at B = 0.4
+        assert solve_omega_T_for_A(0.2).iterations <= 50
+        assert solve_omega_T_for_B(0.4).iterations <= 25
+
+    @pytest.mark.parametrize("B", [0.4, 0.5, 0.6, 0.7, 0.8])
+    def test_table_ii_closed_form(self, B):
+        # eps(u) = u * int_0^1 sin(f(s))^2 ds = u (1 - cos(B) J0(B)) / 2
+        closed = 2.0 * np.pi / (1.0 - np.cos(B) * trapezoid_j0(B))
+        assert abs(solve_omega_T_for_B(B, tol=1e-12).value - closed) \
+            <= 1e-12 * np.pi
+
+    @pytest.mark.parametrize("A", [0.2, 0.5, 0.8])
+    def test_carrier_mean_bounds_epsilon(self, A):
+        # |eps(u) - u I| <= (3 pi/2) A^2 for every u, I the carrier mean;
+        # the largest deviation is 0.015 at A = 0.2 and 0.21 at A = 0.8,
+        # both near u = 3.25
+        f = unit_window(A)
+        rate = simpson(lambda s: 0.5 * (1.0 - np.cos(f(s)) * trapezoid_j0(f(s))),
+                       0.0, 1.0, 2 ** 10)
+        for us, n in ((np.arange(0.05, 20 * np.pi, 0.05), 2 ** 11),
+                      (np.arange(20 * np.pi, 200 * np.pi, 1.0), 2 ** 13)):
+            s = np.linspace(0.0, 1.0, n + 1)
+            weights = np.tile([2.0, 4.0], n // 2 + 1)[:n + 1] / (3.0 * n)
+            weights[0] = weights[-1] = 1.0 / (3.0 * n)
+            for chunk in np.array_split(us, len(us) // 64 + 1):
+                eps = chunk * (np.sin(f(s) * np.cos(np.outer(chunk, s)) ** 2)
+                               ** 2 @ weights)
+                assert np.max(np.abs(eps - chunk * rate)) <= 1.5 * np.pi * A * A
+
+    def test_bessel_j0_series(self):
+        z = np.linspace(-0.8, 0.8, 321)
+        assert np.max(np.abs(_bessel_j0(z) - trapezoid_j0(z))) <= 1e-15
+        assert _carrier_mean_sin2(0.0) == 0.0
+
     def test_delta_epsilon_monotone(self):
         ks = np.linspace(0.0, KAPPA_SUP * 0.999, 12)
         vals = [delta_epsilon_per_period(k) for k in ks]
@@ -311,6 +401,30 @@ class TestCalibration:
             solve_omega_T_for_A(0.0)
         with pytest.raises(ValueError):
             calibrate_strategy_c(0.5, tol=-1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs(self, bad):
+        with pytest.raises(ValueError, match="tol must be"):
+            solve_omega_T_for_A(0.5, tol=bad)
+        with pytest.raises(ValueError, match="tol must be"):
+            solve_omega_T_for_B(0.5, tol=bad)
+        with pytest.raises(ValueError, match="tol must be"):
+            calibrate_strategy_c(0.5, tol=bad)
+        with pytest.raises(ValueError, match="target delta epsilon"):
+            calibrate_strategy_c(bad)
+
+
+class TestSampleTimes:
+    def test_small_counts_keep_three_points(self):
+        sch = strategy_c(0.3, 1.0, 1)
+        ts = sch.sample_times(1)
+        assert len(ts) == 3
+        assert (ts[0], ts[-1]) == (sch.t_start, sch.t_end)
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_non_positive_count_rejected(self, count):
+        with pytest.raises(ValueError, match="samples_per_period"):
+            strategy_c(0.3, 1.0, 1).sample_times(count)
 
 
 class TestCsvRoundTrip:
