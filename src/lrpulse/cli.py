@@ -2,8 +2,8 @@
 
 Every command accepts its options as flags and/or a JSON config file
 (--config); explicit flags override file values. Output files are written
-atomically (temp file + rename). Exit codes: 0 success, 1 validation error or
-failed verification, 2 numerical non-convergence, 3 I/O error.
+atomically (temp file + rename). Exit codes: 0 success, 1 validation or usage
+error or failed verification, 2 numerical non-convergence, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -213,9 +213,7 @@ def cmd_tables(args) -> int:
 
 def cmd_synth(args) -> int:
     schedule, info, time_scale, unit = build_schedule(args)
-    # strategy c's envelope has sharp features: at 200 samples per period
-    # its linear interpolation misses the file-invariance tolerance
-    _default(args, "samples_per_period", 800 if args.strategy == "c" else 200)
+    _default(args, "samples_per_period", 200)
     spp = args.samples_per_period
     _atomic_write(args.out,
                   lambda tmp: schedule.write_csv(tmp, spp, time_scale))
@@ -269,9 +267,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     schedule, info, _, _ = build_schedule(args)
     _default(args, "steps_per_period", 2000)
-    csv = None
-    if args.schedule:
-        csv = load_schedule_csv(args.schedule)
+    csv = load_schedule_csv(args.schedule) if args.schedule else None
     result = run_verification(schedule, csv=csv,
                               steps_per_period=args.steps_per_period)
     result.update(info)
@@ -339,36 +335,38 @@ def _add_strategy(p):
                    help="strategy-c carrier periods (default 6)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse.ArgumentError on a usage error, such as a missing or
+    unknown flag or a value its type rejects, so main exits 1, not 2."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    """The lrpulse parser; a flag value its type rejects raises
-    argparse.ArgumentError rather than exiting, so main exits 1 for it as
-    for the same value in a config file."""
-    parser = argparse.ArgumentParser(
-        prog="lrpulse", exit_on_error=False,
+    """The lrpulse parser; its subcommand parsers share its class."""
+    parser = _Parser(
+        prog="lrpulse",
         description="Invariant-based pulse design for driven three-level "
                     "systems beyond the rotating-wave approximation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary):
-        return sub.add_parser(name, help=summary, exit_on_error=False)
-
-    p = command("tables", "write a calibration table as CSV")
+    p = sub.add_parser("tables", help="write a calibration table as CSV")
     _add_common(p)
     p.add_argument("--which", choices=("I", "II"), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tables)
 
-    p = command("synth", "synthesize a pulse schedule CSV")
+    p = sub.add_parser("synth", help="synthesize a pulse schedule CSV")
     _add_common(p)
     _add_strategy(p)
     p.add_argument("--out", required=True)
     p.add_argument("--summary", help="optional JSON summary path")
     p.add_argument("--samples-per-period", dest="samples_per_period",
-                   type=int, help="CSV samples per carrier period (default 200; "
-                   "800 for strategy c)")
+                   type=int, help="CSV samples per carrier period (default 200)")
     p.set_defaults(func=cmd_synth)
 
-    p = command("simulate", "synthesize, propagate, and report populations")
+    p = sub.add_parser("simulate", help="synthesize, propagate, and report populations")
     _add_common(p)
     _add_strategy(p)
     p.add_argument("--out", help="population-trace CSV path")
@@ -377,16 +375,17 @@ def make_parser() -> argparse.ArgumentParser:
                    type=int, help="RK4 steps per carrier period (default 2000)")
     p.set_defaults(func=cmd_simulate)
 
-    p = command("verify", "run the self-check suites")
+    p = sub.add_parser("verify", help="run the self-check suites")
     _add_common(p)
     _add_strategy(p)
-    p.add_argument("--schedule", help="also validate this schedule CSV file")
+    p.add_argument("--schedule", help="also check the invariance residual "
+                   "of this schedule CSV file at each of its interior rows")
     p.add_argument("--out", help="JSON report path")
     p.add_argument("--steps-per-period", dest="steps_per_period",
                    type=int, help="RK4 steps per carrier period (default 2000)")
     p.set_defaults(func=cmd_verify)
 
-    p = command("calibrate-c", "solve the strategy-c amplitude ratio")
+    p = sub.add_parser("calibrate-c", help="solve the strategy-c amplitude ratio")
     _add_common(p)
     p.add_argument("--target-delta-epsilon", dest="target_delta_epsilon",
                    type=finite_float)

@@ -20,6 +20,7 @@ from .numerics import central_diff
 SQRT2 = np.sqrt(2.0)
 
 _TINY = 1e-12
+_NORM_TOL = 1e-9
 
 
 def ket(j: int) -> np.ndarray:
@@ -31,8 +32,8 @@ def ket(j: int) -> np.ndarray:
     return v
 
 
-def is_normalized(psi: np.ndarray, tol: float = 1e-9) -> bool:
-    return abs(np.linalg.norm(psi) - 1.0) <= tol
+def is_normalized(psi: np.ndarray) -> bool:
+    return abs(np.linalg.norm(psi) - 1.0) <= _NORM_TOL
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
     """Integrate i d/dt psi = H(t) psi with classical fixed-step RK4."""
     cfg = cfg or PropagationConfig()
     psi0 = np.asarray(psi0, dtype=complex)
-    if not is_normalized(psi0, tol=1e-8):
+    if not is_normalized(psi0):
         raise ValueError("psi0 must be normalized")
     t0 = schedule.t_start if cfg.t_start is None else cfg.t_start
     t1 = schedule.t_end if cfg.t_end is None else cfg.t_end

@@ -16,6 +16,7 @@ solves beta backwards. The calibrations integrate sin(beta)^2 of the same beta.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable
@@ -211,7 +212,8 @@ def load_schedule_csv(path):
     """Read back a schedule CSV: (header dict, record array of columns).
 
     Raises ValueError when there are fewer than 2 data rows, and names the
-    data row and column of the first cell that is not a finite number.
+    data row and column of the first cell that is not a finite number, or
+    the first data row whose t does not exceed the row before it.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -226,6 +228,10 @@ def load_schedule_csv(path):
         if bad.size:
             raise ValueError(f"{path}: data row {bad[0] + 1}, column {name!r}: "
                              "not a finite number")
+    bad = np.flatnonzero(np.diff(data["t"]) <= 0.0)
+    if bad.size:
+        raise ValueError(f"{path}: data row {bad[0] + 2}: t does not exceed "
+                         "the row before it")
     return meta, data
 
 
@@ -441,8 +447,9 @@ def _solve_omega_T(beta_of: Callable, param: float, tol: float,
         return u * integrate(lambda s: np.sin(beta(s)) ** 2, 0.0, 1.0, n_cells)
 
     # eps_total(u) <= u, so g < 0 at the first march point pi/2 and at every
-    # point the bound places below the root
-    g = lambda u: eps_total(u) - np.pi
+    # point the bound places below the root; cached, because find_root
+    # re-evaluates the bracket ends and the residual its last midpoint
+    g = functools.cache(lambda u: eps_total(u) - np.pi)
     step = 0.5 * np.pi
     lo = step
     while lo + step <= _OMEGA_T_MAX and (lo + step) * rate + spread < np.pi:
@@ -589,11 +596,10 @@ def calibrate_strategy_c(target_delta_epsilon: float,
     if target_delta_epsilon == 0.0:
         return CalibrationResult(0.0, 0.0, 0.0, 0)
     hi = KAPPA_SUP * (1.0 - 1e-12)
-    d_max = delta_epsilon_per_period(hi)
-    if not 0.0 < target_delta_epsilon <= d_max:
-        raise CalibrationError(
-            f"target {target_delta_epsilon} outside reachable range (0, {d_max:.6g}]")
-    g = lambda k: delta_epsilon_per_period(k) - target_delta_epsilon
+    g = functools.cache(lambda k: delta_epsilon_per_period(k) - target_delta_epsilon)
+    if not (target_delta_epsilon > 0.0 and g(hi) >= 0.0):
+        raise CalibrationError(f"target {target_delta_epsilon} outside reachable "
+                               f"range (0, {delta_epsilon_per_period(hi):.6g}]")
     root, iters = find_root(g, Bracket(0.0, hi), tol=min(tol, 1e-8))
     return CalibrationResult(input_value=target_delta_epsilon, value=root,
                              residual=abs(g(root)), iterations=iters)

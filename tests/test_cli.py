@@ -29,6 +29,40 @@ class TestTables:
         assert main(["tables", "--which", "II", "--out", str(out)]) == EXIT_IO
 
 
+@pytest.fixture(scope="module")
+def a_file(tmp_path_factory):
+    """The lines of the default `synth --strategy a --A 0.5` file."""
+    sched = tmp_path_factory.mktemp("a") / "s.csv"
+    assert main(["synth", "--strategy", "a", "--A", "0.5",
+                 "--out", str(sched)]) == EXIT_OK
+    return sched.read_text().splitlines()
+
+
+def verify_a(path):
+    return main(["verify", "--strategy", "a", "--A", "0.5",
+                 "--schedule", str(path)])
+
+
+class TestUsageErrors:
+    def test_missing_required_flag(self, capsys):
+        assert main(["synth", "--strategy", "a"]) == EXIT_VALIDATION
+        assert "required: --out" in capsys.readouterr().err
+
+    def test_unknown_flag(self, tmp_path, capsys):
+        assert main(["--bogus"]) == EXIT_VALIDATION
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--strategy", "a", "--A", "0.5",
+                     "--out", str(out), "--bogus"]) == EXIT_VALIDATION
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--help"])
+        assert exc.value.code == 0
+        assert "--samples-per-period" in capsys.readouterr().out
+
+
 class TestSynth:
     def test_zero_schedule(self, tmp_path):
         out = tmp_path / "z.csv"
@@ -153,6 +187,47 @@ class TestVerify:
                      "--schedule", str(short)]) == EXIT_VALIDATION
         assert f"error: {short}: {n_rows} data rows" in capsys.readouterr().err
 
+    def test_every_corrupted_row_fails(self, tmp_path, a_file):
+        # one row's re_omega_p scaled by 1.1: data rows 699 and 700 (linear
+        # interpolation sampled at 50 times misses the first) and every 37th
+        # row whose coupling is at least 1% of the column maximum
+        re_p = np.array([float(ln.split(",")[1]) for ln in a_file[2:]])
+        rows = [698, 699] + [i for i in range(0, len(re_p), 37)
+                             if abs(re_p[i]) >= 0.01 * np.max(np.abs(re_p))]
+        assert len(rows) > 70
+        bad = tmp_path / "bad.csv"
+        for i in rows:
+            lines = list(a_file)
+            f = lines[2 + i].split(",")
+            f[1] = repr(float(f[1]) * 1.1)
+            lines[2 + i] = ",".join(f)
+            bad.write_text("\n".join(lines) + "\n")
+            assert verify_a(bad) == EXIT_VALIDATION, f"data row {i + 1}"
+
+    def test_file_checked_only_at_its_rows(self, tmp_path, capsys, a_file):
+        # the first data row, one more and the last: the middle row is
+        # checked as written, and no interpolation between rows is
+        sparse = tmp_path / "sparse.csv"
+        sparse.write_text("\n".join(a_file[:4] + a_file[-1:]) + "\n")
+        assert verify_a(sparse) == EXIT_OK
+        sparse.write_text("\n".join(a_file[:3] + a_file[-1:]) + "\n")
+        assert verify_a(sparse) == EXIT_VALIDATION
+        assert "error: schedule file has no interior row to check" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["swap", "duplicate"])
+    def test_rows_out_of_order_fail(self, tmp_path, capsys, a_file, edit):
+        lines = list(a_file)   # lines[k] holds data row k - 1
+        if edit == "swap":
+            lines[41], lines[42] = lines[42], lines[41]
+        else:
+            lines[42] = lines[41]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert verify_a(bad) == EXIT_VALIDATION
+        assert f"error: {bad}: data row 41: t does not exceed" \
+            in capsys.readouterr().err
+
     def test_b_neglect_imag_fails_invariance_only(self, tmp_path):
         # dropping the imaginary envelope part breaks the invariant at every
         # time, not only in the patch windows (residual ~6e-2 omega)
@@ -172,7 +247,10 @@ class TestVerify:
                      "--out", str(sched)]) == EXIT_OK
         assert main(["verify", "--strategy", *strategy, "--schedule",
                      str(sched), "--out", str(rep)]) == EXIT_OK
-        assert json.loads(rep.read_text())["checks"]["file_invariance"]["passed"]
+        check = json.loads(rep.read_text())["checks"]["file_invariance"]
+        assert check["passed"] and check["max_residual_over_omega"] < 1e-7
+        if strategy == ["c"]:   # 6 periods at 200 samples per period
+            assert len(read_rows(sched)) == 6 * 200 + 1
 
 
 class TestStrategyOptions:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrpulse import (PropagationConfig, compare_with_analytic,
-                     convergence_study, ket, propagate, strategy_a,
-                     strategy_b, strategy_c)
+from lrpulse import (PropagationConfig, analytic_evolution,
+                     compare_with_analytic, convergence_study, ket, propagate,
+                     strategy_a, strategy_b, strategy_c)
 from lrpulse.core import hamiltonian_entries
 from lrpulse.errors import PropagationError
 from lrpulse.synthesis import TWO_PI, PulseSchedule, reduced_trajectory
@@ -50,6 +50,16 @@ class TestPropagate:
     def test_requires_normalized_state(self):
         with pytest.raises(ValueError):
             propagate(zero_schedule(), np.array([1.0, 1.0, 0.0]))
+
+    def test_one_normalization_tolerance(self):
+        sch = strategy_c(0.3, 1.0, 1)
+        cfg = PropagationConfig(steps_per_carrier_period=100)
+        for run in (lambda psi: propagate(sch, psi, cfg),
+                    lambda psi: analytic_evolution(sch.trajectory, psi,
+                                                   sch.t_end)):
+            with pytest.raises(ValueError, match="normalized"):
+                run(ket(1) * (1 + 5e-9))
+            run(ket(1) * (1 + 5e-10))
 
     def test_window_outside_domain(self):
         sch = zero_schedule()

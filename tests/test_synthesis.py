@@ -10,6 +10,7 @@ from lrpulse import (calibrate_strategy_c, carrier_singular_times,
                      invariance_residual, load_schedule_csv, reduced_trajectory,
                      solve_omega_T_for_A, solve_omega_T_for_B, strategy_a,
                      strategy_b, strategy_c, synthesize_general)
+from lrpulse import synthesis
 from lrpulse.errors import CalibrationError, SynthesisError
 from lrpulse.numerics import Bracket, find_root, integrate
 from lrpulse.synthesis import KAPPA_SUP, _bessel_j0, _carrier_mean_sin2
@@ -319,6 +320,20 @@ class TestCalibration:
         cal = solve_omega_T_for_A(A)
         assert cal.value == value
         assert cal.residual == residual
+
+    def test_omega_T_evaluates_each_point_once(self, monkeypatch):
+        # find_root re-evaluates the bracket ends and the residual its last
+        # midpoint: an uncached g makes 48 quadratures at 45 distinct u
+        seen = []
+        beta_a = synthesis._beta_a
+
+        def recording(f, fdot, u):
+            seen.append(u)
+            return beta_a(f, fdot, u)
+
+        monkeypatch.setattr(synthesis, "_beta_a", recording)
+        solve_omega_T_for_A(0.2)
+        assert seen and len(seen) == len(set(seen))
 
     @pytest.mark.parametrize("B", [0.4, 0.6, 0.8])
     def test_omega_T_for_B_equals_full_march(self, B):
