@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -208,26 +209,45 @@ class PulseSchedule:
                    "t,re_omega_p,im_omega_p,re_omega_s,im_omega_s,delta")
 
 
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
+
+
 def load_schedule_csv(path):
     """Read back a schedule CSV: (header dict, record array of columns).
 
-    Raises ValueError when there are fewer than 2 data rows, and names the
-    data row and column of the first cell that is not a finite number, or
-    the first data row whose t does not exceed the row before it.
+    Raises ValueError when there are fewer than 2 data rows or the rows and
+    the column-name line disagree on the column count, and names the data
+    row and column of the first cell that is not a finite number, or the
+    first data row whose t does not exceed the row before it. Blank lines
+    and lines starting with '#' are not data rows.
     """
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("# "):
             raise ValueError(f"{path}: missing JSON header line")
         meta = json.loads(first[2:])
-        data = np.genfromtxt(fh, delimiter=",", names=True, ndmin=1)
-    if data.size < 2:
-        raise ValueError(f"{path}: {data.size} data rows, at least 2 needed")
-    for name in data.dtype.names:
-        bad = np.flatnonzero(~np.isfinite(data[name]))
+        names = [name.strip() for name in fh.readline().split(",")]
+        rows = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    if len(rows) < 2:
+        raise ValueError(f"{path}: {len(rows)} data rows, at least 2 needed")
+    try:
+        cells = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError:
+        # some cell is not a number: read it as NaN, for the check below
+        cells = np.loadtxt(rows, delimiter=",", ndmin=2, converters=_float_or_nan)
+    if cells.shape[1] != len(names):
+        raise ValueError(f"{path}: {cells.shape[1]} columns under "
+                         f"{len(names)} column names")
+    for col, name in enumerate(names):
+        bad = np.flatnonzero(~np.isfinite(cells[:, col]))
         if bad.size:
             raise ValueError(f"{path}: data row {bad[0] + 1}, column {name!r}: "
                              "not a finite number")
+    data = np.rec.fromarrays(cells.T, names=names)
     bad = np.flatnonzero(np.diff(data["t"]) <= 0.0)
     if bad.size:
         raise ValueError(f"{path}: data row {bad[0] + 2}: t does not exceed "
@@ -419,24 +439,67 @@ def _carrier_mean_sin2(f):
     return 0.5 * (1.0 - np.cos(f) * _bessel_j0(f))
 
 
+def _deviation_constant(A: float) -> float:
+    """C1(A) with u*|eps(u) - u*I| <= C1(A) for strategy A at omega*T = u
+    (step 4 of _solve_omega_T): sum_j 2j pi (1 + pi (2j - 1)/8) w_j A^(2j),
+    w_j = sum_n binom(4j, 2j - n) / (n^2 (2j)! 4^j). C1(A)/A^2 rises from
+    4.65 at A -> 0 to 8.07 at A = 0.8; past j = 16 the terms sum to below
+    1e-28 for A <= 0.8."""
+    total = 0.0
+    for j in range(1, 17):
+        w = sum(math.comb(4 * j, 2 * j - n) / (n * n) for n in range(1, 2 * j + 1)) \
+            / (math.factorial(2 * j) * 4.0 ** j)
+        total += 2 * j * np.pi * (1.0 + np.pi * (2 * j - 1) / 8.0) * w * A ** (2 * j)
+    return total
+
+
 def _solve_omega_T(beta_of: Callable, param: float, tol: float,
                    rate: float, spread: float) -> CalibrationResult:
     """Smallest u = omega*T with accumulated epsilon equal to pi.
 
     beta_of(u) is the mixing angle at omega*T = u as a function of the
     scaled time s = t/T in [0, 1]. g(u) = eps(u) - pi is marched over
-    u = pi/2, pi, ... from the last point that eps(u) <= u*rate + spread < pi
-    places below the root; the skipped points are reached by the same
-    additions, so the bracket and the root are those of the full march.
-    iterations counts the march points evaluated plus the bisection steps.
+    u = pi/2, pi, ... to its first sign change; eps(u) <= u < pi puts the
+    start pi/2 below the root, and every later point that
+    eps(u) <= u*rate + spread/u + _BOUND_MARGIN < pi places below the root
+    is skipped without evaluating g. Each point is tested on its own, and
+    the skipped points are reached by the same additions, so the bracket
+    and the root are those of the full march. iterations counts the march
+    points evaluated plus the bisection steps.
 
-    rate is I = int_0^1 m(f(s)) ds, with f the window and
-    m(f) = (1 - cos(f) J0(f))/2 the carrier mean of sin(beta)^2
-    (_carrier_mean_sin2). Strategy B has eps(u) = u*I exactly. For strategy A, spread is C(A) = (3 pi/2) A^2: with
-    G(f, theta) = int_0^theta (sin(f cos^2)^2 - m(f)), integration by parts
-    gives eps(u) - u*I = -int_0^1 G_f(f(s), u*s) f'(s) ds, where
-    |G_f| <= 3 pi f/4 as a partial integral of a zero-mean periodic function,
-    and int |f'| = 2A. Both spreads add _BOUND_MARGIN for quadrature error.
+    rate is I = int_0^1 m(f(s)) ds, with f the window and m(f) the carrier
+    mean of S(f, theta) = sin(f cos(theta)^2)^2 (_carrier_mean_sin2).
+    Strategy B has eps(u) = u*I exactly, so spread = 0. For strategy A,
+    eps(u) - u*I = u int_0^1 (S - m)(f(s), u*s) ds, and spread is
+    C1(A) (_deviation_constant), by four steps:
+
+    1. Fourier form. By Jacobi-Anger (DLMF 10.12.2-3),
+       S = m(f) + sum_{n>=1} a_n(f) cos(2 n theta) with
+       a_2k = (-1)^(k+1) cos(f) J_2k(f), a_2k+1 = (-1)^k sin(f) J_2k+1(f).
+    2. Zero-mean partial integrals. G = sum a_n sin(2 n theta)/(2n) is the
+       partial integral of S - m in theta and vanishes at f = 0; as
+       f(0) = f(1) = 0, integrating by parts in s gives
+       eps(u) - u*I = -int_0^1 G_f(f(s), u*s) f'(s) ds. G_f has zero mean in
+       theta too, with the zero-mean partial integral
+       P = -sum a_n' cos(2 n theta)/(4 n^2); so |P| <= sum sup|a_n'|/(4 n^2)
+       and |P_f| <= sum sup|a_n''|/(4 n^2).
+    3. Second integration by parts. As f'(0) = f'(1) = 0,
+       u (eps(u) - u*I) = int_0^1 (P f'' + P_f f'^2)(f(s), u*s) ds, and the
+       window has int |f''| = 4 pi A, int f'^2 = pi^2 A^2/2. So
+       u |eps(u) - u*I| <= pi A sum sup|a_n'|/n^2
+                           + (pi^2 A^2/8) sum sup|a_n''|/n^2.
+    4. Sup over 0 <= f <= A. sin(x)^2 = sum_j (-1)^(j+1) 2^(2j-1) x^(2j)/(2j)!
+       and the cos(2 n theta) coefficient of cos(theta)^(4j) is
+       2 binom(4j, 2j - n)/16^j, so a_n = sum_j (-1)^(j+1) b_nj f^(2j) with
+       b_nj = binom(4j, 2j - n)/((2j)! 4^j) >= 0. Its majorant
+       M_n = sum_j b_nj f^(2j) is cosh(f) I_n(f) (n even) or sinh(f) I_n(f)
+       (n odd), the Fourier coefficients of sinh(f cos(theta)^2)^2, and
+       sup |a_n^(k)| <= M_n^(k)(A) on [0, A]. Summing the series in j gives
+       C1(A).
+
+    C1(A) <= 8.1 A^2 < pi (3 pi/2) A^2, so at the march points u >= pi
+    C1(A)/u is sharper than the constant (3 pi/2) A^2 that step 2 alone
+    gives. _BOUND_MARGIN allows for the quadrature error in g.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a positive finite number")
@@ -446,21 +509,20 @@ def _solve_omega_T(beta_of: Callable, param: float, tol: float,
         beta = beta_of(u)
         return u * integrate(lambda s: np.sin(beta(s)) ** 2, 0.0, 1.0, n_cells)
 
-    # eps_total(u) <= u, so g < 0 at the first march point pi/2 and at every
-    # point the bound places below the root; cached, because find_root
-    # re-evaluates the bracket ends and the residual its last midpoint
+    # cached, because find_root re-evaluates the bracket ends and the
+    # residual its last midpoint
     g = functools.cache(lambda u: eps_total(u) - np.pi)
     step = 0.5 * np.pi
-    lo = step
-    while lo + step <= _OMEGA_T_MAX and (lo + step) * rate + spread < np.pi:
-        lo = lo + step
-    hi = lo
+    lo = hi = step
     n_march = 0
     while True:
         hi = hi + step
-        n_march += 1
         if hi > _OMEGA_T_MAX:
             raise CalibrationError("no omega*T bracket found in search range")
+        if hi * rate + spread / hi + _BOUND_MARGIN < np.pi:
+            lo = hi
+            continue
+        n_march += 1
         if g(hi) >= 0:
             break
         lo = hi
@@ -475,7 +537,7 @@ def solve_omega_T_for_A(A: float, tol: float = 1e-6) -> CalibrationResult:
     rate = integrate(lambda s: _carrier_mean_sin2(window[0](s)), 0.0, 1.0,
                      _CALIBRATION_CELLS_PER_PERIOD)
     return _solve_omega_T(lambda u: _beta_a(*window, u)[0], A, tol, rate,
-                          1.5 * np.pi * A * A + _BOUND_MARGIN)
+                          _deviation_constant(A))
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +588,7 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
 def solve_omega_T_for_B(B: float, tol: float = 1e-6) -> CalibrationResult:
     """omega*T completing a strategy-B transfer (accumulated epsilon = pi)."""
     f, _ = _window(B, 1.0, "B")
-    return _solve_omega_T(lambda u: f, B, tol, _carrier_mean_sin2(B),
-                          _BOUND_MARGIN)
+    return _solve_omega_T(lambda u: f, B, tol, _carrier_mean_sin2(B), 0.0)
 
 
 # ---------------------------------------------------------------------------

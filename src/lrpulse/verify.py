@@ -59,10 +59,12 @@ def check_spectrum(schedule: PulseSchedule) -> dict:
 
 
 def check_invariance(schedule: PulseSchedule) -> dict:
-    """Invariance residual at small h, plus its quadratic decay in h."""
+    """Invariance residual at small h, plus its quadratic decay in h; h is
+    scaled to the carrier period, so the O(h^2) error does not grow with
+    the number of periods."""
     traj = schedule.trajectory
     omega = schedule.omega
-    h_small = (schedule.t_end - schedule.t_start) * 1e-6
+    h_small = TWO_PI / omega * 1e-6
     h_slope = TWO_PI / omega * 1e-2
     grid = np.linspace(schedule.t_start, schedule.t_end, _RESIDUAL_SAMPLES + 2)
     ts = _interior_times(schedule, grid[1:-1], margin=2 * h_slope)
@@ -141,13 +143,15 @@ def check_analytic_agreement(schedule: PulseSchedule,
 
 def check_file_invariance(schedule: PulseSchedule, data: np.ndarray) -> dict:
     """Invariance residual of the Hamiltonian read from file rows, at every
-    interior row time outside the patched intervals.
+    row time outside the patched intervals, the first and last included.
 
     H is rebuilt by linear interpolation between rows, but the residual
     samples H only at the times it is given, and np.interp returns each
     row's own value at its node. So every row is checked as written, no
-    interpolation error enters, and the closed-form tolerance applies. data
-    comes from load_schedule_csv, whose times increase strictly.
+    interpolation error enters, and the closed-form tolerance applies; the
+    trajectory is evaluated at t +- h, just outside the domain at the end
+    rows. A file needs a row between its ends. data comes from
+    load_schedule_csv, whose times increase strictly.
     """
     ts_file = data["t"] * ((schedule.t_end - schedule.t_start)
                            / (data["t"][-1] - data["t"][0]))
@@ -159,9 +163,9 @@ def check_file_invariance(schedule: PulseSchedule, data: np.ndarray) -> dict:
     delta = lambda t: np.interp(t, ts_file, data["delta"])
     from_file = dataclasses.replace(schedule, Delta_p=delta, Delta_s=delta,
                                     Omega_p=envelope("p"), Omega_s=envelope("s"))
-    h = (schedule.t_end - schedule.t_start) * 1e-6
-    ts = _interior_times(schedule, ts_file[1:-1], margin=2 * h)
-    if not ts.size:
+    h = TWO_PI / schedule.omega * 1e-6
+    ts = _interior_times(schedule, ts_file, margin=2 * h)
+    if not np.any((ts > ts_file[0]) & (ts < ts_file[-1])):
         raise ValueError("schedule file has no interior row to check")
     worst = float(np.max(invariance_residual(from_file, schedule.trajectory,
                                              ts, h))) / schedule.omega

@@ -174,6 +174,19 @@ class TestVerify:
                      "--schedule", str(bad)]) == EXIT_VALIDATION
         assert "data row 11, column 're_omega_p'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("drop", ["column", "name"])
+    def test_column_count_mismatch_fails(self, tmp_path, capsys, a_file, drop):
+        # the delta column dropped from every data row, or its name
+        first = 2 if drop == "column" else 1
+        last = len(a_file) if drop == "column" else 2
+        lines = [",".join(ln.split(",")[:5]) if first <= i < last else ln
+                 for i, ln in enumerate(a_file)]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert verify_a(bad) == EXIT_VALIDATION
+        counts = "5 columns under 6" if drop == "column" else "6 columns under 5"
+        assert f"{counts} column names" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n_rows", [0, 1])
     def test_short_schedule_file_fails(self, tmp_path, capsys, n_rows):
         # a file needs two data rows to span the schedule domain
@@ -203,6 +216,18 @@ class TestVerify:
             lines[2 + i] = ",".join(f)
             bad.write_text("\n".join(lines) + "\n")
             assert verify_a(bad) == EXIT_VALIDATION, f"data row {i + 1}"
+
+    @pytest.mark.parametrize("line", [2, -1], ids=["first", "last"])
+    def test_corrupted_end_row_fails(self, tmp_path, a_file, line):
+        # re_omega_p = 5.0 reads 7.6e-2 omega in the first data row and
+        # 5.0e-2 omega in the last; the file as written reads 0 and 3e-14
+        lines = list(a_file)
+        f = lines[line].split(",")
+        f[1] = "5.0"
+        lines[line] = ",".join(f)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert verify_a(bad) == EXIT_VALIDATION
 
     def test_file_checked_only_at_its_rows(self, tmp_path, capsys, a_file):
         # the first data row, one more and the last: the middle row is

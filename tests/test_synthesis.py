@@ -13,7 +13,9 @@ from lrpulse import (calibrate_strategy_c, carrier_singular_times,
 from lrpulse import synthesis
 from lrpulse.errors import CalibrationError, SynthesisError
 from lrpulse.numerics import Bracket, find_root, integrate
-from lrpulse.synthesis import KAPPA_SUP, _bessel_j0, _carrier_mean_sin2
+from lrpulse.synthesis import (KAPPA_SUP, _bessel_j0, _carrier_mean_sin2,
+                               _deviation_constant)
+from lrpulse.verify import RESIDUAL_TOL_OVER_OMEGA, check_invariance
 
 
 def simpson(f, a, b, n):
@@ -73,6 +75,35 @@ def full_march_omega_T(beta_of, tol=1e-6):
 def unit_window(amp):
     """The calibrations' window on s = t/T, in the package's operation order."""
     return lambda s: 0.5 * amp * (1.0 - np.cos(2.0 * np.pi * s / 1.0))
+
+
+def simpson_deviations(A):
+    """(u, eps(u) - u*I) in chunks over u in [0.05, 20 pi) by 0.05 and
+    [20 pi, 200 pi) by 1, by Simpson in s. I is the Simpson integral of the
+    carrier mean of sin(f cos(theta)^2)^2, taken by the trapezoid rule over
+    theta, which keeps its relative precision at small f."""
+    f = unit_window(A)
+    theta = np.linspace(0.0, np.pi, 65)
+    rate = simpson(lambda s: np.mean(np.sin(np.multiply.outer(
+        f(s), np.cos(theta[:-1]) ** 2)) ** 2, axis=-1), 0.0, 1.0, 2 ** 10)
+    for us, n in ((np.arange(0.05, 20 * np.pi, 0.05), 2 ** 11),
+                  (np.arange(20 * np.pi, 200 * np.pi, 1.0), 2 ** 13)):
+        s = np.linspace(0.0, 1.0, n + 1)
+        weights = np.tile([2.0, 4.0], n // 2 + 1)[:n + 1] / (3.0 * n)
+        weights[0] = weights[-1] = 1.0 / (3.0 * n)
+        for chunk in np.array_split(us, len(us) // 64 + 1):
+            eps = chunk * (np.sin(f(s) * np.cos(np.outer(chunk, s)) ** 2)
+                           ** 2 @ weights)
+            yield chunk, eps - chunk * rate
+
+
+def assert_equals_full_march(A):
+    f = unit_window(A)
+    value, residual = full_march_omega_T(
+        lambda u: lambda s: f(s) * np.cos(u * s) ** 2)
+    cal = solve_omega_T_for_A(A)
+    assert cal.value == value
+    assert cal.residual == residual
 
 
 def window_beta(A, T, omega):
@@ -204,6 +235,15 @@ class TestStrategyA:
         ref = -2.0 * 30.0 * np.sin(beta(ts)) ** 2
         assert np.max(np.abs(sch.Delta_p(ts) - ref)) < 1e-12
 
+    def test_invariance_at_smallest_calibrated_A(self):
+        # omega*T = 1976.6 pi: a step h of 1e-6 of the span instead of the
+        # carrier period reads 1.9e-6 omega, all O(h^2) truncation error
+        A = 0.06
+        sch = strategy_a(A, solve_omega_T_for_A(A).value, 1.0)
+        res = check_invariance(sch)
+        assert res["passed"]
+        assert res["max_residual_over_omega"] < 1e-2 * RESIDUAL_TOL_OVER_OMEGA
+
     def test_validation(self):
         with pytest.raises(ValueError):
             strategy_a(1.5, 30.0, 1.0)
@@ -312,14 +352,15 @@ class TestCalibration:
         sch = strategy_a(0.45, omega, 1.0)
         assert sch.trajectory.epsilon(1.0) == pytest.approx(np.pi, abs=1e-4)
 
-    @pytest.mark.parametrize("A", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("A", [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
     def test_omega_T_for_A_equals_full_march(self, A):
-        f = unit_window(A)
-        value, residual = full_march_omega_T(
-            lambda u: lambda s: f(s) * np.cos(u * s) ** 2)
-        cal = solve_omega_T_for_A(A)
-        assert cal.value == value
-        assert cal.residual == residual
+        assert_equals_full_march(A)
+
+    @settings(max_examples=6, deadline=None)
+    @given(A=st.floats(0.15, 0.8))
+    def test_omega_T_for_random_A_equals_full_march(self, A):
+        # from A = 0.15 the full march stays below 700 points
+        assert_equals_full_march(A)
 
     def test_omega_T_evaluates_each_point_once(self, monkeypatch):
         # find_root re-evaluates the bracket ends and the residual its last
@@ -344,8 +385,10 @@ class TestCalibration:
 
     def test_omega_T_march_skips_bounded_points(self):
         # iterations counts the march points evaluated and the bisections;
-        # the full march takes 380 at A = 0.2 and 56 at B = 0.4
-        assert solve_omega_T_for_A(0.2).iterations <= 50
+        # the full march takes 380 at A = 0.2 and 56 at B = 0.4, and the
+        # constant bound (3 pi/2) A^2 left 45 or 46 at every Table I A
+        for A in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7):
+            assert solve_omega_T_for_A(A).iterations <= 25, A
         assert solve_omega_T_for_B(0.4).iterations <= 25
 
     @pytest.mark.parametrize("B", [0.4, 0.5, 0.6, 0.7, 0.8])
@@ -360,18 +403,19 @@ class TestCalibration:
         # |eps(u) - u I| <= (3 pi/2) A^2 for every u, I the carrier mean;
         # the largest deviation is 0.015 at A = 0.2 and 0.21 at A = 0.8,
         # both near u = 3.25
-        f = unit_window(A)
-        rate = simpson(lambda s: 0.5 * (1.0 - np.cos(f(s)) * trapezoid_j0(f(s))),
-                       0.0, 1.0, 2 ** 10)
-        for us, n in ((np.arange(0.05, 20 * np.pi, 0.05), 2 ** 11),
-                      (np.arange(20 * np.pi, 200 * np.pi, 1.0), 2 ** 13)):
-            s = np.linspace(0.0, 1.0, n + 1)
-            weights = np.tile([2.0, 4.0], n // 2 + 1)[:n + 1] / (3.0 * n)
-            weights[0] = weights[-1] = 1.0 / (3.0 * n)
-            for chunk in np.array_split(us, len(us) // 64 + 1):
-                eps = chunk * (np.sin(f(s) * np.cos(np.outer(chunk, s)) ** 2)
-                               ** 2 @ weights)
-                assert np.max(np.abs(eps - chunk * rate)) <= 1.5 * np.pi * A * A
+        for _, dev in simpson_deviations(A):
+            assert np.max(np.abs(dev)) <= 1.5 * np.pi * A * A
+
+    @settings(max_examples=8, deadline=None)
+    @given(A=st.floats(1e-100, 0.8))
+    def test_deviation_decays_as_one_over_u(self, A):
+        # u |eps(u) - u I| <= C1(A), the constant that starts the omega*T
+        # march; measured u |eps(u) - u I| stays below 1.3 A^2 (below
+        # A = 1e-100 the oracle's squares near s = 0 underflow)
+        bound = _deviation_constant(A)
+        assert 4.6 * A * A <= bound <= 8.1 * A * A
+        for us, dev in simpson_deviations(A):
+            assert np.max(us * np.abs(dev)) <= bound
 
     def test_bessel_j0_series(self):
         z = np.linspace(-0.8, 0.8, 321)
