@@ -45,8 +45,8 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
     Returns (root, iterations). Terminates when the bracket width drops
     below tol or an exact zero is hit.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a positive finite number")
     lo, hi = bracket.lo, bracket.hi
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:

@@ -26,7 +26,8 @@ import numpy as np
 
 from .core import AuxParams, SQRT2, lr_phase_rate
 from .errors import CalibrationError, SynthesisError
-from .numerics import Bracket, RunningIntegral, find_root, integrate
+from .numerics import (Bracket, RunningIntegral, central_diff, find_root,
+                       integrate)
 
 TWO_PI = 2.0 * np.pi
 
@@ -219,11 +220,11 @@ def _float_or_nan(cell: str) -> float:
 def load_schedule_csv(path):
     """Read back a schedule CSV: (header dict, record array of columns).
 
-    Raises ValueError when there are fewer than 2 data rows or the rows and
-    the column-name line disagree on the column count, and names the data
-    row and column of the first cell that is not a finite number, or the
-    first data row whose t does not exceed the row before it. Blank lines
-    and lines starting with '#' are not data rows.
+    Raises ValueError when there are fewer than 2 data rows, and names the
+    first data row whose column count differs from the column-name line,
+    the data row and column of the first cell that is not a finite number,
+    or the first data row whose t does not exceed the row before it. Blank
+    lines and lines starting with '#' are not data rows.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -234,14 +235,16 @@ def load_schedule_csv(path):
         rows = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
     if len(rows) < 2:
         raise ValueError(f"{path}: {len(rows)} data rows, at least 2 needed")
+    for n, row in enumerate(rows, start=1):
+        n_columns = row.count(",") + 1
+        if n_columns != len(names):
+            raise ValueError(f"{path}: data row {n}: {n_columns} columns "
+                             f"under {len(names)} column names")
     try:
         cells = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError:
         # some cell is not a number: read it as NaN, for the check below
         cells = np.loadtxt(rows, delimiter=",", ndmin=2, converters=_float_or_nan)
-    if cells.shape[1] != len(names):
-        raise ValueError(f"{path}: {cells.shape[1]} columns under "
-                         f"{len(names)} column names")
     for col, name in enumerate(names):
         bad = np.flatnonzero(~np.isfinite(cells[:, col]))
         if bad.size:
@@ -340,8 +343,7 @@ def synthesize_general(aux: AuxiliaryTrajectory, omega: float) -> PulseSchedule:
                 val = np.asarray(num(t) / c, dtype=complex)
             if np.any(near):
                 tz = _nearest_carrier_zero(omega, t)
-                h = 1e-6 * TWO_PI / omega
-                lim = (num(tz + h) - num(tz - h)) / (2 * h) \
+                lim = central_diff(num, tz, 1e-6 * TWO_PI / omega) \
                     / (-omega * np.sin(omega * tz))
                 val = np.where(near, lim, val)
             return val
@@ -441,7 +443,8 @@ def _carrier_mean_sin2(f):
 
 def _deviation_constant(A: float) -> float:
     """C1(A) with u*|eps(u) - u*I| <= C1(A) for strategy A at omega*T = u
-    (step 4 of _solve_omega_T): sum_j 2j pi (1 + pi (2j - 1)/8) w_j A^(2j),
+    (step 4 of solve_omega_T_for_A):
+    sum_j 2j pi (1 + pi (2j - 1)/8) w_j A^(2j),
     w_j = sum_n binom(4j, 2j - n) / (n^2 (2j)! 4^j). C1(A)/A^2 rises from
     4.65 at A -> 0 to 8.07 at A = 0.8; past j = 16 the terms sum to below
     1e-28 for A <= 0.8."""
@@ -453,25 +456,21 @@ def _deviation_constant(A: float) -> float:
     return total
 
 
-def _solve_omega_T(beta_of: Callable, param: float, tol: float,
-                   rate: float, spread: float) -> CalibrationResult:
-    """Smallest u = omega*T with accumulated epsilon equal to pi.
+def solve_omega_T_for_A(A: float, tol: float = 1e-6) -> CalibrationResult:
+    """Smallest omega*T = u completing a strategy-A transfer (epsilon = pi).
 
-    beta_of(u) is the mixing angle at omega*T = u as a function of the
-    scaled time s = t/T in [0, 1]. g(u) = eps(u) - pi is marched over
-    u = pi/2, pi, ... to its first sign change; eps(u) <= u < pi puts the
-    start pi/2 below the root, and every later point that
-    eps(u) <= u*rate + spread/u + _BOUND_MARGIN < pi places below the root
-    is skipped without evaluating g. Each point is tested on its own, and
-    the skipped points are reached by the same additions, so the bracket
-    and the root are those of the full march. iterations counts the march
-    points evaluated plus the bisection steps.
+    g(u) = eps(u) - pi is marched over u = pi/2, pi, ... to its first sign
+    change; eps(u) <= u < pi puts the start pi/2 below the root, and every
+    later point that eps(u) <= u*I + C1(A)/u + _BOUND_MARGIN < pi places
+    below the root is skipped without evaluating g. Each point is tested on
+    its own, and the skipped points are reached by the same additions, so
+    the bracket and the root are those of the full march. iterations counts
+    the march points evaluated plus the bisection steps.
 
-    rate is I = int_0^1 m(f(s)) ds, with f the window and m(f) the carrier
-    mean of S(f, theta) = sin(f cos(theta)^2)^2 (_carrier_mean_sin2).
-    Strategy B has eps(u) = u*I exactly, so spread = 0. For strategy A,
-    eps(u) - u*I = u int_0^1 (S - m)(f(s), u*s) ds, and spread is
-    C1(A) (_deviation_constant), by four steps:
+    I = int_0^1 m(f(s)) ds, with f the window and m(f) the carrier mean of
+    S(f, theta) = sin(f cos(theta)^2)^2 (_carrier_mean_sin2). Here
+    eps(u) - u*I = u int_0^1 (S - m)(f(s), u*s) ds, and C1(A)
+    (_deviation_constant) bounds u times it, by four steps:
 
     1. Fourier form. By Jacobi-Anger (DLMF 10.12.2-3),
        S = m(f) + sum_{n>=1} a_n(f) cos(2 n theta) with
@@ -501,12 +500,16 @@ def _solve_omega_T(beta_of: Callable, param: float, tol: float,
     C1(A)/u is sharper than the constant (3 pi/2) A^2 that step 2 alone
     gives. _BOUND_MARGIN allows for the quadrature error in g.
     """
+    window = _window(A, 1.0, "A")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a positive finite number")
+    rate = integrate(lambda s: _carrier_mean_sin2(window[0](s)), 0.0, 1.0,
+                     _CALIBRATION_CELLS_PER_PERIOD)
+    spread = _deviation_constant(A)
 
     def eps_total(u):
         n_cells = _CALIBRATION_CELLS_PER_PERIOD * (1 + int(u / TWO_PI))
-        beta = beta_of(u)
+        beta = _beta_a(*window, u)[0]
         return u * integrate(lambda s: np.sin(beta(s)) ** 2, 0.0, 1.0, n_cells)
 
     # cached, because find_root re-evaluates the bracket ends and the
@@ -527,17 +530,8 @@ def _solve_omega_T(beta_of: Callable, param: float, tol: float,
             break
         lo = hi
     root, iters = find_root(g, Bracket(lo, hi), tol=min(tol, 1e-6))
-    return CalibrationResult(input_value=param, value=root,
+    return CalibrationResult(input_value=A, value=root,
                              residual=abs(g(root)), iterations=n_march + iters)
-
-
-def solve_omega_T_for_A(A: float, tol: float = 1e-6) -> CalibrationResult:
-    """omega*T completing a strategy-A transfer (accumulated epsilon = pi)."""
-    window = _window(A, 1.0, "A")
-    rate = integrate(lambda s: _carrier_mean_sin2(window[0](s)), 0.0, 1.0,
-                     _CALIBRATION_CELLS_PER_PERIOD)
-    return _solve_omega_T(lambda u: _beta_a(*window, u)[0], A, tol, rate,
-                          _deviation_constant(A))
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +580,23 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
 
 
 def solve_omega_T_for_B(B: float, tol: float = 1e-6) -> CalibrationResult:
-    """omega*T completing a strategy-B transfer (accumulated epsilon = pi)."""
+    """omega*T completing a strategy-B transfer (accumulated epsilon = pi).
+
+    B's mixing angle is the window f alone, so eps(u) = u*m(B) exactly
+    (_carrier_mean_sin2) and the root is pi/m(B) = 2 pi/(1 - cos(B) J0(B)).
+    tol is only checked; iterations counts the one quadrature of eps that
+    gives the residual.
+    """
     f, _ = _window(B, 1.0, "B")
-    return _solve_omega_T(lambda u: f, B, tol, _carrier_mean_sin2(B), 0.0)
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a positive finite number")
+    value = float(np.pi / _carrier_mean_sin2(B))
+    if value > _OMEGA_T_MAX:
+        raise CalibrationError("no omega*T bracket found in search range")
+    eps = value * integrate(lambda s: np.sin(f(s)) ** 2, 0.0, 1.0,
+                            _CALIBRATION_CELLS_PER_PERIOD)
+    return CalibrationResult(input_value=B, value=value,
+                             residual=abs(eps - np.pi), iterations=1)
 
 
 # ---------------------------------------------------------------------------

@@ -174,18 +174,22 @@ class TestVerify:
                      "--schedule", str(bad)]) == EXIT_VALIDATION
         assert "data row 11, column 're_omega_p'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("drop", ["column", "name"])
+    @pytest.mark.parametrize("drop", ["column", "name", "row"])
     def test_column_count_mismatch_fails(self, tmp_path, capsys, a_file, drop):
-        # the delta column dropped from every data row, or its name
-        first = 2 if drop == "column" else 1
-        last = len(a_file) if drop == "column" else 2
+        # the delta column dropped from every data row, from its name, or
+        # from data row 11 alone (line 12)
+        first, last = {"column": (2, len(a_file)), "name": (1, 2),
+                       "row": (12, 13)}[drop]
         lines = [",".join(ln.split(",")[:5]) if first <= i < last else ln
                  for i, ln in enumerate(a_file)]
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
         assert verify_a(bad) == EXIT_VALIDATION
-        counts = "5 columns under 6" if drop == "column" else "6 columns under 5"
-        assert f"{counts} column names" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        counts = "6 columns under 5" if drop == "name" else "5 columns under 6"
+        assert f"{counts} column names" in err
+        if drop == "row":
+            assert f"{bad}: data row 11: " in err
 
     @pytest.mark.parametrize("n_rows", [0, 1])
     def test_short_schedule_file_fails(self, tmp_path, capsys, n_rows):

@@ -28,8 +28,9 @@ class TestFindRoot:
             find_root(lambda x: x + 2.0, Bracket(0.0, 1.0), tol=1e-9)
 
     def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            find_root(np.cos, Bracket(1.0, 2.0), tol=0.0)
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                find_root(np.cos, Bracket(1.0, 2.0), tol=tol)
 
     def test_random_cubics(self):
         rng = np.random.default_rng(7)

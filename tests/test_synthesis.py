@@ -377,26 +377,42 @@ class TestCalibration:
         assert seen and len(seen) == len(set(seen))
 
     @pytest.mark.parametrize("B", [0.4, 0.6, 0.8])
-    def test_omega_T_for_B_equals_full_march(self, B):
-        value, residual = full_march_omega_T(lambda u: unit_window(B))
+    def test_omega_T_for_B_near_full_march(self, B):
+        # the closed form lies within the bisection's tol/2 of the full
+        # march's root, and reaches pi more closely: the march's root
+        # leaves a Simpson residual of 1.5e-8 to 6.3e-8
+        value, _ = full_march_omega_T(lambda u: unit_window(B))
         cal = solve_omega_T_for_B(B)
-        assert cal.value == value
-        assert cal.residual == residual
+        assert abs(cal.value - value) <= 5e-7
+        eps = cal.value * simpson(lambda s: np.sin(unit_window(B)(s)) ** 2,
+                                  0.0, 1.0, 2 ** 13)
+        assert abs(eps - np.pi) <= 1e-12
+        assert cal.residual <= 1e-12
+
+    def test_omega_T_for_B_search_range(self):
+        # the closed-form root 2002.3 pi lies past the search range's end
+        # at 2000 pi, which the march never crossed either
+        with pytest.raises(CalibrationError, match="search range"):
+            solve_omega_T_for_B(0.0365)
+        assert solve_omega_T_for_B(0.037).value \
+            == np.pi / _carrier_mean_sin2(0.037)
 
     def test_omega_T_march_skips_bounded_points(self):
         # iterations counts the march points evaluated and the bisections;
         # the full march takes 380 at A = 0.2 and 56 at B = 0.4, and the
-        # constant bound (3 pi/2) A^2 left 45 or 46 at every Table I A
+        # constant bound (3 pi/2) A^2 left 45 or 46 at every Table I A;
+        # B's closed form evaluates eps once, for its residual
         for A in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7):
             assert solve_omega_T_for_A(A).iterations <= 25, A
-        assert solve_omega_T_for_B(0.4).iterations <= 25
+        assert solve_omega_T_for_B(0.4).iterations == 1
 
     @pytest.mark.parametrize("B", [0.4, 0.5, 0.6, 0.7, 0.8])
     def test_table_ii_closed_form(self, B):
         # eps(u) = u * int_0^1 sin(f(s))^2 ds = u (1 - cos(B) J0(B)) / 2
         closed = 2.0 * np.pi / (1.0 - np.cos(B) * trapezoid_j0(B))
-        assert abs(solve_omega_T_for_B(B, tol=1e-12).value - closed) \
-            <= 1e-12 * np.pi
+        for tol in (1e-12, 1e-6):
+            assert abs(solve_omega_T_for_B(B, tol=tol).value - closed) \
+                <= 1e-12 * np.pi, tol
 
     @pytest.mark.parametrize("A", [0.2, 0.5, 0.8])
     def test_carrier_mean_bounds_epsilon(self, A):
