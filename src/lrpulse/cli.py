@@ -89,9 +89,11 @@ def _merge_config(args: argparse.Namespace,
         raise ValueError(f"{path}: config must be a JSON object")
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
+    # the subcommand's own options; help and config are not config keys
+    actions = {a.dest: a for a in sub.choices[args.command]._actions
+               if a.dest not in ("help", "config")}
     for key, value in cfg.items():
-        if not hasattr(args, key):
+        if key not in actions:
             raise ValueError(f"{path}: unknown config key {key!r}")
         if getattr(args, key) is not None or value is None:
             continue
@@ -142,7 +144,7 @@ def build_schedule(args) -> tuple[PulseSchedule, dict, float, str]:
             omega_T = args.omega_T_over_pi * np.pi
         else:
             solver = solve_omega_T_for_A if strategy == "a" else solve_omega_T_for_B
-            cal = solver(param, tol=args.tol)
+            cal = solver(param)
             omega_T = cal.value
             info["calibration"] = {"omega_T_over_pi": omega_T / np.pi,
                                    "residual": cal.residual,
@@ -165,7 +167,7 @@ def build_schedule(args) -> tuple[PulseSchedule, dict, float, str]:
     else:
         _default(args, "target_delta_epsilon", DEFAULT_TARGET_DELTA_EPS)
         target = args.target_delta_epsilon
-        cal = calibrate_strategy_c(target, tol=args.tol)
+        cal = calibrate_strategy_c(target)
         kappa = cal.value
         info["calibration"] = {"Omega0_over_omega": kappa,
                                "target_delta_epsilon": target,
@@ -199,7 +201,7 @@ def cmd_tables(args) -> int:
         params, solver, label = TABLE_I_PARAMS, solve_omega_T_for_A, "A"
     else:
         params, solver, label = TABLE_II_PARAMS, solve_omega_T_for_B, "B"
-    rows = [(p, solver(p, tol=args.tol).value / np.pi) for p in params]
+    rows = [(p, solver(p).value / np.pi) for p in params]
 
     def writer(tmp):
         with open(tmp, "w") as fh:
@@ -287,7 +289,7 @@ def cmd_verify(args) -> int:
 def cmd_calibrate_c(args) -> int:
     _default(args, "target_delta_epsilon", DEFAULT_TARGET_DELTA_EPS)
     target = args.target_delta_epsilon
-    cal = calibrate_strategy_c(target, tol=args.tol)
+    cal = calibrate_strategy_c(target)
     out = {"schema_version": 1, "target_delta_epsilon": target,
            "Omega0_over_omega": cal.value, "residual": cal.residual,
            "iterations": cal.iterations}
@@ -304,8 +306,6 @@ def cmd_calibrate_c(args) -> int:
 
 def _add_common(p):
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--tol", type=finite_float,
-                   help="calibration tolerance (default 1e-6)")
 
 
 def _add_strategy(p):
@@ -398,9 +398,6 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = _merge_config(parser.parse_args(argv), parser)
-        _default(args, "tol", 1e-6)
-        if args.tol <= 0:
-            raise ValueError("tol must be positive")
         return args.func(args)
     except (ValueError, json.JSONDecodeError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

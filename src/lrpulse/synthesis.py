@@ -41,6 +41,11 @@ _GENERAL_TRAJECTORY_CELLS = 4096
 _REDUCED_ALPHA = np.pi / 4       # the reduced invariant's constant alpha
 _OMEGA_T_MAX = 2000.0 * np.pi    # end of the calibrations' omega*T search
 _BOUND_MARGIN = 1e-6             # quadrature allowance of the omega*T skip bound
+_OMEGA_T_TOL = 1e-6              # bracket width at which the omega*T bisection stops
+_KAPPA_TOL = 1e-8                # bracket width at which the kappa bisection stops
+# the column names of a schedule file, in the order write_csv writes them
+_SCHEDULE_COLUMNS = ("t", "re_omega_p", "im_omega_p", "re_omega_s", "im_omega_s",
+                     "delta")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +212,7 @@ class PulseSchedule:
                                           os_.real, os_.imag, dd]),
                    fmt="%.12g", delimiter=",", comments="",
                    header="# " + json.dumps(self.header()) + "\n"
-                   "t,re_omega_p,im_omega_p,re_omega_s,im_omega_s,delta")
+                   + ",".join(_SCHEDULE_COLUMNS))
 
 
 def _float_or_nan(cell: str) -> float:
@@ -220,11 +225,12 @@ def _float_or_nan(cell: str) -> float:
 def load_schedule_csv(path):
     """Read back a schedule CSV: (header dict, record array of columns).
 
-    Raises ValueError when there are fewer than 2 data rows, and names the
-    first data row whose column count differs from the column-name line,
-    the data row and column of the first cell that is not a finite number,
-    or the first data row whose t does not exceed the row before it. Blank
-    lines and lines starting with '#' are not data rows.
+    Raises ValueError, naming the path, for fewer than 2 data rows; for the
+    first data row whose column count differs from the column-name line; for
+    column names other than the six write_csv writes, each once in any order;
+    for the first cell that is not a finite number (by data row and column);
+    and for the first data row whose t does not exceed the row before it.
+    Blank lines and lines starting with '#' are not data rows.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -240,6 +246,9 @@ def load_schedule_csv(path):
         if n_columns != len(names):
             raise ValueError(f"{path}: data row {n}: {n_columns} columns "
                              f"under {len(names)} column names")
+    if sorted(names) != sorted(_SCHEDULE_COLUMNS):
+        raise ValueError(f"{path}: column names {','.join(names)} are not "
+                         f"{','.join(_SCHEDULE_COLUMNS)}, each once")
     try:
         cells = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError:
@@ -456,7 +465,7 @@ def _deviation_constant(A: float) -> float:
     return total
 
 
-def solve_omega_T_for_A(A: float, tol: float = 1e-6) -> CalibrationResult:
+def solve_omega_T_for_A(A: float) -> CalibrationResult:
     """Smallest omega*T = u completing a strategy-A transfer (epsilon = pi).
 
     g(u) = eps(u) - pi is marched over u = pi/2, pi, ... to its first sign
@@ -501,8 +510,6 @@ def solve_omega_T_for_A(A: float, tol: float = 1e-6) -> CalibrationResult:
     gives. _BOUND_MARGIN allows for the quadrature error in g.
     """
     window = _window(A, 1.0, "A")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a positive finite number")
     rate = integrate(lambda s: _carrier_mean_sin2(window[0](s)), 0.0, 1.0,
                      _CALIBRATION_CELLS_PER_PERIOD)
     spread = _deviation_constant(A)
@@ -529,7 +536,7 @@ def solve_omega_T_for_A(A: float, tol: float = 1e-6) -> CalibrationResult:
         if g(hi) >= 0:
             break
         lo = hi
-    root, iters = find_root(g, Bracket(lo, hi), tol=min(tol, 1e-6))
+    root, iters = find_root(g, Bracket(lo, hi), tol=_OMEGA_T_TOL)
     return CalibrationResult(input_value=A, value=root,
                              residual=abs(g(root)), iterations=n_march + iters)
 
@@ -579,17 +586,14 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
         f, fdot, envelope, omega, 0.0, T)
 
 
-def solve_omega_T_for_B(B: float, tol: float = 1e-6) -> CalibrationResult:
+def solve_omega_T_for_B(B: float) -> CalibrationResult:
     """omega*T completing a strategy-B transfer (accumulated epsilon = pi).
 
     B's mixing angle is the window f alone, so eps(u) = u*m(B) exactly
     (_carrier_mean_sin2) and the root is pi/m(B) = 2 pi/(1 - cos(B) J0(B)).
-    tol is only checked; iterations counts the one quadrature of eps that
-    gives the residual.
+    iterations counts the one quadrature of eps that gives the residual.
     """
     f, _ = _window(B, 1.0, "B")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a positive finite number")
     value = float(np.pi / _carrier_mean_sin2(B))
     if value > _OMEGA_T_MAX:
         raise CalibrationError("no omega*T bracket found in search range")
@@ -655,11 +659,8 @@ def delta_epsilon_per_period(Omega0_over_omega: float) -> float:
                      _CALIBRATION_CELLS_PER_PERIOD)
 
 
-def calibrate_strategy_c(target_delta_epsilon: float,
-                         tol: float = 1e-6) -> CalibrationResult:
+def calibrate_strategy_c(target_delta_epsilon: float) -> CalibrationResult:
     """Omega0/omega whose per-period epsilon increment hits the target."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a positive finite number")
     if not np.isfinite(target_delta_epsilon):
         raise ValueError("target delta epsilon must be a finite number")
     if target_delta_epsilon == 0.0:
@@ -669,6 +670,6 @@ def calibrate_strategy_c(target_delta_epsilon: float,
     if not (target_delta_epsilon > 0.0 and g(hi) >= 0.0):
         raise CalibrationError(f"target {target_delta_epsilon} outside reachable "
                                f"range (0, {delta_epsilon_per_period(hi):.6g}]")
-    root, iters = find_root(g, Bracket(0.0, hi), tol=min(tol, 1e-8))
+    root, iters = find_root(g, Bracket(0.0, hi), tol=_KAPPA_TOL)
     return CalibrationResult(input_value=target_delta_epsilon, value=root,
                              residual=abs(g(root)), iterations=iters)

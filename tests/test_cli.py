@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lrpulse.cli import (EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK,
-                         EXIT_VALIDATION, main)
+                         EXIT_VALIDATION, main, make_parser)
 
 
 def read_rows(path):
@@ -61,6 +64,33 @@ class TestUsageErrors:
             main(["synth", "--help"])
         assert exc.value.code == 0
         assert "--samples-per-period" in capsys.readouterr().out
+
+    def test_no_tol_flag(self, tmp_path, capsys):
+        # the calibrations bisect to fixed widths; --tol is not an option
+        out = tmp_path / "t.csv"
+        assert main(["tables", "--which", "II", "--out", str(out),
+                     "--tol", "1e-6"]) == EXIT_VALIDATION
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def readme_commands():
+    """The `lrpulse ...` lines of README's sh blocks, continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("lrpulse "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # every documented command names only options the parser has
+    commands = readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        make_parser().parse_args(argv)
 
 
 class TestSynth:
@@ -190,6 +220,24 @@ class TestVerify:
         assert f"{counts} column names" in err
         if drop == "row":
             assert f"{bad}: data row 11: " in err
+
+    @pytest.mark.parametrize("edit", ["renamed", "missing", "duplicated"])
+    def test_column_names_checked(self, tmp_path, capsys, a_file, edit):
+        # the delta column renamed detuning, dropped from the names and every
+        # row, or im_omega_s named im_omega_p a second time
+        lines = list(a_file)
+        if edit == "renamed":
+            lines[1] = lines[1].replace("delta", "detuning")
+        elif edit == "missing":
+            lines[1:] = [ln.rsplit(",", 1)[0] for ln in lines[1:]]
+        else:
+            lines[1] = lines[1].replace("im_omega_s", "im_omega_p")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert verify_a(bad) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert f"error: {bad}: column names " in err
+        assert "pass" not in out
 
     @pytest.mark.parametrize("n_rows", [0, 1])
     def test_short_schedule_file_fails(self, tmp_path, capsys, n_rows):
@@ -344,14 +392,14 @@ class TestNonFiniteInputs:
         pytest.param(B + ["--omega-T-over-pi", "nan"], {}, "--omega-T-over-pi",
                      id="omega_T"),
         pytest.param(B + ["--T", "inf"], {}, "--T", id="T"),
-        pytest.param(["synth", "--strategy", "a", "--A", "0.5", "--tol", "nan"],
-                     {}, "--tol", id="tol"),
+        pytest.param(["synth", "--strategy", "a", "--A", "nan"], {}, "--A",
+                     id="A"),
         pytest.param(["calibrate-c", "--target-delta-epsilon", "nan"], {},
                      "--target-delta-epsilon", id="target"),
         pytest.param(B, {"delta_t_over_T": float("nan")}, "'delta_t_over_T'",
                      id="delta_t-config"),
-        pytest.param(["calibrate-c"], {"tol": float("inf")}, "'tol'",
-                     id="tol-config"),
+        pytest.param(["calibrate-c"], {"target_delta_epsilon": float("inf")},
+                     "'target_delta_epsilon'", id="target-config"),
     ]
 
     @pytest.mark.parametrize("argv,config,option", CASES)
@@ -402,7 +450,7 @@ class TestConfigFile:
         params = json.loads(summ.read_text())["schedule"]["params"]
         assert params["Omega0_over_omega"] == 0.0
 
-    def test_config_sets_flags_with_defaults(self, tmp_path):
+    def test_config_sets_flags_with_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         base = {"strategy": "c", "Omega0_over_omega": 0.3, "n_periods": 1}
         summ = tmp_path / "s.json"
@@ -414,15 +462,23 @@ class TestConfigFile:
         cfg.write_text(json.dumps({**base, "samples_per_period": 10}))
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert len(read_rows(out)) == 11
-        cfg.write_text(json.dumps({**base, "tol": -1.0}))
+        cfg.write_text(json.dumps({"strategy": "a", "A": 0.5, "T": -1.0}))
         assert main(["synth", "--config", str(cfg),
                      "--out", str(out)]) == EXIT_VALIDATION
+        assert "error: T must be positive" in capsys.readouterr().err
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # only the subcommand's own options are config keys: not the parser's
+        # command and func, not config itself, not the removed tol
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"strategy": "c", "bogus": 1}))
-        assert main(["synth", "--config", str(cfg),
-                     "--out", str(cfg.parent / "o.csv")]) == EXIT_VALIDATION
+        out = tmp_path / "o.csv"
+        for key in ("bogus", "command", "func", "config", "tol"):
+            cfg.write_text(json.dumps({"strategy": "c", "Omega0_over_omega": 0.3,
+                                       "n_periods": 1, key: "x"}))
+            assert main(["synth", "--config", str(cfg),
+                         "--out", str(out)]) == EXIT_VALIDATION, key
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_malformed_json(self, tmp_path):
         cfg = tmp_path / "cfg.json"
