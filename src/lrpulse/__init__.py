@@ -25,7 +25,6 @@ from .propagate import (
     PropagationConfig,
     TransferReport,
     compare_with_analytic,
-    convergence_study,
     deviation_from_analytic,
     propagate,
 )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from math import isqrt
-from typing import Sequence
 
 import numpy as np
 
@@ -185,14 +184,3 @@ def compare_with_analytic(schedule: PulseSchedule, aux_traj, psi0: np.ndarray,
     return deviation_from_analytic(propagate(schedule, psi0, cfg), aux_traj,
                                    psi0)
 
-
-def convergence_study(schedule: PulseSchedule, psi0: np.ndarray,
-                      steps_list: Sequence[int]) -> list[tuple[int, float]]:
-    """Final third-level population at each resolution (steps per period)."""
-    if list(steps_list) != sorted(steps_list):
-        raise ValueError("steps_list must be ascending")
-    out = []
-    for spp in steps_list:
-        cfg = PropagationConfig(steps_per_carrier_period=int(spp))
-        out.append((int(spp), propagate(schedule, psi0, cfg).final_p3))
-    return out

@@ -74,11 +74,16 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+def readme_blocks(language):
+    """The code blocks of README fenced as the given language, in order."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return re.findall(rf"```{language}\n(.*?)```", readme, re.S)
+
+
 def readme_commands():
     """The `lrpulse ...` lines of README's sh blocks, continuations joined."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+    for block in readme_blocks("sh"):
         for line in block.replace("\\\n", " ").splitlines():
             if line.startswith("lrpulse "):
                 commands.append(shlex.split(line)[1:])
@@ -91,6 +96,15 @@ def test_readme_commands_parse():
     assert len(commands) >= 8
     for argv in commands:
         make_parser().parse_args(argv)
+
+
+def test_readme_python_blocks_run():
+    # the Library snippets run in order in one namespace, as a reader would
+    blocks = readme_blocks("python")
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 class TestSynth:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrpulse import (PropagationConfig, analytic_evolution,
-                     compare_with_analytic, convergence_study, ket, propagate,
-                     strategy_a, strategy_b, strategy_c)
+                     compare_with_analytic, ket, propagate, strategy_a,
+                     strategy_b, strategy_c)
 from lrpulse.core import hamiltonian_entries
 from lrpulse.errors import PropagationError
 from lrpulse.synthesis import TWO_PI, PulseSchedule, reduced_trajectory
@@ -224,11 +224,6 @@ def test_nan_diagnostic_fails(corrupt):
 
 
 class TestConvergence:
-    def test_study_monotone_input(self):
-        sch = zero_schedule()
-        with pytest.raises(ValueError):
-            convergence_study(sch, ket(1), [400, 200])
-
     def test_fourth_order(self):
         # global error against a fine reference shrinks ~16x per halving
         sch = strategy_c(0.33, 1.0, 1)

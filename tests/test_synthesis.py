@@ -10,7 +10,7 @@ from lrpulse import (calibrate_strategy_c, carrier_singular_times,
                      invariance_residual, load_schedule_csv, reduced_trajectory,
                      solve_omega_T_for_A, solve_omega_T_for_B, strategy_a,
                      strategy_b, strategy_c, synthesize_general)
-from lrpulse import synthesis
+from lrpulse import run_verification, synthesis, verify
 from lrpulse.errors import CalibrationError, SynthesisError
 from lrpulse.numerics import Bracket, find_root, integrate
 from lrpulse.synthesis import (KAPPA_SUP, _bessel_j0, _carrier_mean_sin2,
@@ -77,15 +77,21 @@ def unit_window(amp):
     return lambda s: 0.5 * amp * (1.0 - np.cos(2.0 * np.pi * s / 1.0))
 
 
-def simpson_deviations(A):
-    """(u, eps(u) - u*I) in chunks over u in [0.05, 20 pi) by 0.05 and
-    [20 pi, 200 pi) by 1, by Simpson in s. I is the Simpson integral of the
-    carrier mean of sin(f cos(theta)^2)^2, taken by the trapezoid rule over
-    theta, which keeps its relative precision at small f."""
+def carrier_mean_integral(A):
+    """I, the Simpson integral in s of the carrier mean of
+    sin(f cos(theta)^2)^2, taken by the trapezoid rule over theta, which
+    keeps its relative precision at small f."""
     f = unit_window(A)
     theta = np.linspace(0.0, np.pi, 65)
-    rate = simpson(lambda s: np.mean(np.sin(np.multiply.outer(
+    return simpson(lambda s: np.mean(np.sin(np.multiply.outer(
         f(s), np.cos(theta[:-1]) ** 2)) ** 2, axis=-1), 0.0, 1.0, 2 ** 10)
+
+
+def simpson_deviations(A):
+    """(u, eps(u) - u*I) in chunks over u in [0.05, 20 pi) by 0.05 and
+    [20 pi, 200 pi) by 1, by Simpson in s (I from carrier_mean_integral)."""
+    f = unit_window(A)
+    rate = carrier_mean_integral(A)
     for us, n in ((np.arange(0.05, 20 * np.pi, 0.05), 2 ** 11),
                   (np.arange(20 * np.pi, 200 * np.pi, 1.0), 2 ** 13)):
         s = np.linspace(0.0, 1.0, n + 1)
@@ -97,13 +103,43 @@ def simpson_deviations(A):
             yield chunk, eps - chunk * rate
 
 
-def assert_equals_full_march(A):
+def simpson_omega_T_for_A(A):
+    """The root of g(u) = u * int_0^1 sin(f(s) cos(u s)^2)^2 ds - pi, the
+    integral by Simpson on 2^15 panels, by the secant method from pi/I."""
     f = unit_window(A)
-    value, residual = full_march_omega_T(
-        lambda u: lambda s: f(s) * np.cos(u * s) ** 2)
-    cal = solve_omega_T_for_A(A)
-    assert cal.value == value
-    assert cal.residual == residual
+
+    def g(u):
+        return u * simpson(lambda s: np.sin(f(s) * np.cos(u * s) ** 2) ** 2,
+                           0.0, 1.0, 2 ** 15) - np.pi
+
+    u0 = np.pi / carrier_mean_integral(A)
+    u1 = u0 + 1e-2
+    g0, g1 = g(u0), g(u1)
+    for _ in range(50):
+        u0, g0, u1 = u1, g1, u1 - g1 * (u1 - u0) / (g1 - g0)
+        g1 = g(u1)
+        if abs(u1 - u0) <= 1e-12 * u1:
+            return u1
+    raise AssertionError(f"secant did not converge at A = {A}")
+
+
+def assert_near_simpson_root(A):
+    # within the bisection's tol/2 of an independent root
+    assert abs(solve_omega_T_for_A(A).value - simpson_omega_T_for_A(A)) <= 5e-7
+
+
+@pytest.fixture
+def beta_a_calls(monkeypatch):
+    """The omega*T of every synthesis._beta_a call, in call order."""
+    seen = []
+    beta_a = synthesis._beta_a
+
+    def recording(f, fdot, u):
+        seen.append(u)
+        return beta_a(f, fdot, u)
+
+    monkeypatch.setattr(synthesis, "_beta_a", recording)
+    return seen
 
 
 def window_beta(A, T, omega):
@@ -188,6 +224,18 @@ class TestSynthesizeGeneral:
         for t in np.linspace(t0 + 0.02, t1 - 0.02, 9):
             assert invariance_residual(sch, traj, t, 1e-7) < 1e-7
             assert traj.constraint_residual(t) < 1e-9
+
+    def test_verification_skips_branch_phase_checks(self):
+        # general_trajectory has no +-1 branch phases to check or expand in
+        result = run_verification(synthesize_general(lambda_trajectory(),
+                                                     2 * np.pi))
+        checks = result["checks"]
+        assert result["passed"]
+        assert checks["spectrum"]["passed"] and checks["invariance"]["passed"]
+        assert checks["invariance"]["max_residual_over_omega"] < 1e-9
+        for name in ("lr_phase_consistency", "analytic_agreement"):
+            assert checks[name] == {"skipped": verify._NO_BRANCH_PHASES,
+                                    "passed": True}
 
     @settings(max_examples=20, deadline=None)
     @given(alpha0=st.floats(0.8, 1.2), beta0=st.floats(0.6, 1.2),
@@ -353,28 +401,31 @@ class TestCalibration:
         assert sch.trajectory.epsilon(1.0) == pytest.approx(np.pi, abs=1e-4)
 
     @pytest.mark.parametrize("A", [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
-    def test_omega_T_for_A_equals_full_march(self, A):
-        assert_equals_full_march(A)
+    def test_omega_T_for_A_near_simpson_root(self, A):
+        assert_near_simpson_root(A)
 
     @settings(max_examples=6, deadline=None)
     @given(A=st.floats(0.15, 0.8))
-    def test_omega_T_for_random_A_equals_full_march(self, A):
-        # from A = 0.15 the full march stays below 700 points
-        assert_equals_full_march(A)
+    def test_omega_T_for_random_A_near_simpson_root(self, A):
+        assert_near_simpson_root(A)
 
-    def test_omega_T_evaluates_each_point_once(self, monkeypatch):
-        # find_root re-evaluates the bracket ends and the residual its last
-        # midpoint: an uncached g makes 48 quadratures at 45 distinct u
-        seen = []
-        beta_a = synthesis._beta_a
-
-        def recording(f, fdot, u):
-            seen.append(u)
-            return beta_a(f, fdot, u)
-
-        monkeypatch.setattr(synthesis, "_beta_a", recording)
+    def test_omega_T_evaluates_each_point_once(self, beta_a_calls):
+        # the residual re-evaluates find_root's last midpoint: an uncached g
+        # makes 21 quadratures at 20 distinct u
         solve_omega_T_for_A(0.2)
-        assert seen and len(seen) == len(set(seen))
+        assert beta_a_calls and len(beta_a_calls) == len(set(beta_a_calls))
+
+    def test_omega_T_bracket_holds_every_root(self):
+        # solve_omega_T_for_A's lower bracket end is the larger root of
+        # I u^2 - (pi - margin) u + C1(A) = 0; below its inner root,
+        # eps(u) <= u < pi. I from this file's own quadrature
+        b = np.pi - synthesis._BOUND_MARGIN
+        for A in np.r_[np.geomspace(1e-6, 1e-3, 6, endpoint=False),
+                       np.linspace(1e-3, 0.8, 400)]:
+            rate, c1 = carrier_mean_integral(A), _deviation_constant(A)
+            disc = b * b - 4.0 * rate * c1
+            assert disc > 0.0, A
+            assert 2.0 * c1 / (b + np.sqrt(disc)) < np.pi, A
 
     @pytest.mark.parametrize("B", [0.4, 0.6, 0.8])
     def test_omega_T_for_B_near_full_march(self, B):
@@ -391,19 +442,20 @@ class TestCalibration:
 
     def test_omega_T_for_B_search_range(self):
         # the closed-form root 2002.3 pi lies past the search range's end
-        # at 2000 pi, which the march never crossed either
+        # at 2000 pi
         with pytest.raises(CalibrationError, match="search range"):
             solve_omega_T_for_B(0.0365)
         assert solve_omega_T_for_B(0.037).value \
             == np.pi / _carrier_mean_sin2(0.037)
 
-    def test_omega_T_march_skips_bounded_points(self):
-        # iterations counts the march points evaluated and the bisections;
-        # the full march takes 380 at A = 0.2 and 56 at B = 0.4, and the
-        # constant bound (3 pi/2) A^2 left 45 or 46 at every Table I A;
-        # B's closed form evaluates eps once, for its residual
-        for A in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7):
-            assert solve_omega_T_for_A(A).iterations <= 25, A
+    def test_omega_T_iterations_count_quadratures(self, beta_a_calls):
+        # iterations counts the distinct u at which g is integrated, the
+        # bracket ends included: 20 to 25 over Table I and A = 0.8; B's
+        # closed form evaluates eps once, for its residual
+        for A in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
+            beta_a_calls.clear()
+            cal = solve_omega_T_for_A(A)
+            assert cal.iterations == len(set(beta_a_calls)) <= 25, A
         assert solve_omega_T_for_B(0.4).iterations == 1
 
     @pytest.mark.parametrize("B", [0.4, 0.5, 0.6, 0.7, 0.8])
@@ -423,8 +475,8 @@ class TestCalibration:
     @settings(max_examples=8, deadline=None)
     @given(A=st.floats(1e-100, 0.8))
     def test_deviation_decays_as_one_over_u(self, A):
-        # u |eps(u) - u I| <= C1(A), the constant that starts the omega*T
-        # march; measured u |eps(u) - u I| stays below 1.3 A^2 (below
+        # u |eps(u) - u I| <= C1(A), the constant that brackets the omega*T
+        # roots; measured u |eps(u) - u I| stays below 1.3 A^2 (below
         # A = 1e-100 the oracle's squares near s = 0 underflow)
         bound = _deviation_constant(A)
         assert 4.6 * A * A <= bound <= 8.1 * A * A
