@@ -248,7 +248,7 @@ def cmd_simulate(args) -> int:
     report = propagate(schedule, ket(1), cfg)
     deviation = None
     if schedule.strategy != "b":
-        deviation = deviation_from_analytic(report, schedule.trajectory, ket(1))
+        deviation = deviation_from_analytic(report, schedule)
     summary = report.summary()
     summary["time_unit"] = unit
     summary["analytic_deviation"] = deviation

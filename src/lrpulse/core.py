@@ -174,15 +174,15 @@ def lr_phase_rate(aux: AuxParams):
     return np.where(flat, 0.0, -num / np.where(flat, 1.0, sb2))[()]
 
 
-def invariance_residual(schedule, aux_traj, t, h: float):
+def invariance_residual(schedule, t, h: float):
     """Frobenius norm of i*dI/dt - [H(t), I(t)] at scalar or array times t,
-    dI/dt by central difference with step h.
+    I from schedule.trajectory, dI/dt by central difference with step h.
 
-    Vanishes as O(h^2) for schedules synthesized from aux_traj.
+    Vanishes as O(h^2) for schedules synthesized from their trajectory.
     """
     H = hamiltonian_at(schedule, t)
-    I = invariant_at(aux_traj.at(t))
-    dI = central_diff(lambda u: invariant_at(aux_traj.at(u)), t, h)
+    I = invariant_at(schedule.trajectory.at(t))
+    dI = central_diff(lambda u: invariant_at(schedule.trajectory.at(u)), t, h)
     return np.linalg.norm(1j * dI - (H @ I - I @ H), axis=(-2, -1))[()]
 
 

@@ -27,8 +27,6 @@ class PropagationConfig:
 
     steps_per_carrier_period: int = 2000
     record_stride: int | None = None   # steps between samples; default 10/period
-    t_start: float | None = None
-    t_end: float | None = None
     record_states: bool = False
 
     def __post_init__(self):
@@ -77,15 +75,14 @@ class TransferReport:
 
 def propagate(schedule: PulseSchedule, psi0: np.ndarray,
               cfg: PropagationConfig | None = None) -> TransferReport:
-    """Integrate i d/dt psi = H(t) psi with classical fixed-step RK4."""
+    """Integrate i d/dt psi = H(t) psi with classical fixed-step RK4 over the
+    schedule's domain [t_start, t_end]; to integrate part of it, narrow the
+    schedule with dataclasses.replace."""
     cfg = cfg or PropagationConfig()
     psi0 = np.asarray(psi0, dtype=complex)
     if not is_normalized(psi0):
         raise ValueError("psi0 must be normalized")
-    t0 = schedule.t_start if cfg.t_start is None else cfg.t_start
-    t1 = schedule.t_end if cfg.t_end is None else cfg.t_end
-    if not (schedule.t_start - 1e-12 <= t0 <= t1 <= schedule.t_end + 1e-12):
-        raise ValueError("propagation window outside schedule domain")
+    t0, t1 = schedule.t_start, schedule.t_end
     n_steps = max(1, int(np.ceil((t1 - t0) / (TWO_PI / schedule.omega)
                                  * cfg.steps_per_carrier_period)))
     dt = (t1 - t0) / n_steps
@@ -161,26 +158,26 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
         states=states if cfg.record_states else None)
 
 
-def deviation_from_analytic(report: TransferReport, aux_traj,
-                            psi0: np.ndarray) -> float:
+def deviation_from_analytic(report: TransferReport,
+                            schedule: PulseSchedule) -> float:
     """Max componentwise deviation of report's recorded RK4 states from the
-    eigenbasis expansion, global phase aligned at each state's largest entry."""
-    cfg, head = report.config, report.schedule_header
-    t0 = head["t_start"] if cfg.t_start is None else cfg.t_start
-    t1 = head["t_end"] if cfg.t_end is None else cfg.t_end
-    if not (aux_traj.t_start - 1e-12 <= t0 and t1 <= aux_traj.t_end + 1e-12):
+    eigenbasis expansion of schedule's trajectory, started from the report's
+    first state, global phase aligned at each state's largest entry."""
+    if report.states is None:
+        raise ValueError("report has no states; propagate with record_states=True")
+    traj = schedule.trajectory
+    if not (traj.t_start - 1e-12 <= report.times[0]
+            and report.times[-1] <= traj.t_end + 1e-12):
         raise ValueError("trajectory domain does not cover the comparison window")
-    ana = analytic_evolution(aux_traj, psi0, report.times)
+    ana = analytic_evolution(traj, report.states[0], report.times)
     i = np.argmax(np.abs(report.states), axis=-1)[:, None]
     shift = (np.angle(np.take_along_axis(report.states, i, axis=-1))
              - np.angle(np.take_along_axis(ana, i, axis=-1)))
     return float(np.max(np.abs(ana * np.exp(1j * shift) - report.states)))
 
 
-def compare_with_analytic(schedule: PulseSchedule, aux_traj, psi0: np.ndarray,
+def compare_with_analytic(schedule: PulseSchedule, psi0: np.ndarray,
                           cfg: PropagationConfig | None = None) -> float:
     """deviation_from_analytic over all samples of a propagation with cfg."""
     cfg = replace(cfg or PropagationConfig(), record_states=True)
-    return deviation_from_analytic(propagate(schedule, psi0, cfg), aux_traj,
-                                   psi0)
-
+    return deviation_from_analytic(propagate(schedule, psi0, cfg), schedule)

@@ -226,9 +226,10 @@ def _float_or_nan(cell: str) -> float:
 def load_schedule_csv(path):
     """Read back a schedule CSV: (header dict, record array of columns).
 
-    Raises ValueError, naming the path, for fewer than 2 data rows; for the
-    first data row whose column count differs from the column-name line; for
-    column names other than the six write_csv writes, each once in any order;
+    Raises ValueError, naming the path, for a first line that is not '# '
+    and a JSON object; for fewer than 2 data rows; for the first data row
+    whose column count differs from the column-name line; for column names
+    other than the six write_csv writes, each once in any order;
     for the first cell that is not a finite number (by data row and column);
     and for the first data row whose t does not exceed the row before it.
     Blank lines and lines starting with '#' are not data rows.
@@ -237,7 +238,12 @@ def load_schedule_csv(path):
         first = fh.readline()
         if not first.startswith("# "):
             raise ValueError(f"{path}: missing JSON header line")
-        meta = json.loads(first[2:])
+        try:
+            meta = json.loads(first[2:])
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON header line: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: JSON header line is not an object")
         names = [name.strip() for name in fh.readline().split(",")]
         rows = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
     if len(rows) < 2:
@@ -663,6 +669,8 @@ def calibrate_strategy_c(target_delta_epsilon: float) -> CalibrationResult:
     if not (target_delta_epsilon > 0.0 and g(hi) >= 0.0):
         raise CalibrationError(f"target {target_delta_epsilon} outside reachable "
                                f"range (0, {delta_epsilon_per_period(hi):.6g}]")
-    root, iters = find_root(g, Bracket(0.0, hi), tol=_KAPPA_TOL)
+    root, _ = find_root(g, Bracket(0.0, hi), tol=_KAPPA_TOL)
+    # iterations counts the quadratures: g(0) = -target needs none
     return CalibrationResult(input_value=target_delta_epsilon, value=root,
-                             residual=abs(g(root)), iterations=iters)
+                             residual=abs(g(root)),
+                             iterations=g.cache_info().currsize - 1)

@@ -27,11 +27,16 @@ _NO_BRANCH_PHASES = "trajectory has no +-1 branch phases"
 
 def _interior_times(schedule: PulseSchedule, ts: np.ndarray,
                     margin: float) -> np.ndarray:
-    """The times ts outside any patched interval widened by margin."""
+    """The times ts outside any patched interval widened by margin; raises
+    ValueError if there are none."""
     patched = np.asarray(schedule.params.get("singular_times", []))
-    half = schedule.params.get("delta_t_over_T", 0.0) \
-        * (schedule.t_end - schedule.t_start) + margin
-    return ts[np.all(np.abs(ts[:, None] - patched) > half, axis=-1)]
+    delta_t = schedule.params.get("delta_t_over_T", 0.0) \
+        * (schedule.t_end - schedule.t_start)
+    kept = ts[np.all(np.abs(ts[:, None] - patched) > delta_t + margin, axis=-1)]
+    if not kept.size:
+        raise ValueError("no sample time lies outside the patch windows of "
+                         f"half-width delta_t = {delta_t:.6g}")
+    return kept
 
 
 def check_spectrum(schedule: PulseSchedule) -> dict:
@@ -63,15 +68,14 @@ def check_invariance(schedule: PulseSchedule) -> dict:
     """Invariance residual at small h, plus its quadratic decay in h; h is
     scaled to the carrier period, so the O(h^2) error does not grow with
     the number of periods."""
-    traj = schedule.trajectory
     omega = schedule.omega
     h_small = TWO_PI / omega * 1e-6
     h_slope = TWO_PI / omega * 1e-2
     grid = np.linspace(schedule.t_start, schedule.t_end, _RESIDUAL_SAMPLES + 2)
     ts = _interior_times(schedule, grid[1:-1], margin=2 * h_slope)
-    worst = float(np.max(invariance_residual(schedule, traj, ts, h_small)))
+    worst = float(np.max(invariance_residual(schedule, ts, h_small)))
     t_mid = ts[len(ts) // 2]
-    resid = [invariance_residual(schedule, traj, t_mid, h_slope / 2 ** i)
+    resid = [invariance_residual(schedule, t_mid, h_slope / 2 ** i)
              for i in range(3)]
     if resid[0] < 1e-12 * omega:
         # residual already at round-off for the coarsest h; no decay to measure
@@ -142,9 +146,8 @@ def check_analytic_agreement(schedule: PulseSchedule,
                 "passed": True}
     if schedule.trajectory.phase_plus is None:
         return {"skipped": _NO_BRANCH_PHASES, "passed": True}
-    dev = compare_with_analytic(
-        schedule, schedule.trajectory, ket(1),
-        PropagationConfig(steps_per_carrier_period=steps_per_period))
+    dev = compare_with_analytic(schedule, ket(1), PropagationConfig(
+        steps_per_carrier_period=steps_per_period))
     return {"max_deviation": dev, "passed": bool(dev < ANALYTIC_TOL)}
 
 
@@ -174,8 +177,7 @@ def check_file_invariance(schedule: PulseSchedule, data: np.ndarray) -> dict:
     ts = _interior_times(schedule, ts_file, margin=2 * h)
     if not np.any((ts > ts_file[0]) & (ts < ts_file[-1])):
         raise ValueError("schedule file has no interior row to check")
-    worst = float(np.max(invariance_residual(from_file, schedule.trajectory,
-                                             ts, h))) / schedule.omega
+    worst = float(np.max(invariance_residual(from_file, ts, h))) / schedule.omega
     return {"max_residual_over_omega": worst,
             "passed": bool(worst < RESIDUAL_TOL_OVER_OMEGA)}
 

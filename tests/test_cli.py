@@ -306,6 +306,27 @@ class TestVerify:
         assert "error: schedule file has no interior row to check" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header,message", [
+        ("# {bad", "malformed JSON header line"),
+        ("# [1, 2]", "JSON header line is not an object")],
+        ids=["malformed", "not_object"])
+    def test_bad_header_names_file(self, tmp_path, capsys, a_file, header,
+                                   message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header] + a_file[1:]) + "\n")
+        assert verify_a(bad) == EXIT_VALIDATION
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+    def test_patches_cover_every_sample(self, capsys):
+        # from delta_t/T = 0.043 up to its limit, every phase-check sample
+        # lies inside a patch window
+        assert main(["verify", "--strategy", "b", "--B", "0.5",
+                     "--delta-t-over-T", "0.043"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: no sample time lies outside the patch "
+                              "windows")
+        assert "delta_t" in err and "zero-size" not in err
+
     @pytest.mark.parametrize("edit", ["swap", "duplicate"])
     def test_rows_out_of_order_fail(self, tmp_path, capsys, a_file, edit):
         lines = list(a_file)   # lines[k] holds data row k - 1

@@ -127,7 +127,7 @@ class TestBatched:
             "invariant_eigenvectors": lambda t: np.stack(
                 invariant_eigenvectors(traj.at(t)), axis=-1),
             "analytic_evolution": lambda t: analytic_evolution(traj, ket(1), t),
-            "invariance_residual": lambda t: invariance_residual(sch, traj, t, h),
+            "invariance_residual": lambda t: invariance_residual(sch, t, h),
             "lr_phase_rates_numeric": lambda t: np.stack(
                 lr_phase_rates_numeric(sch, t, h), axis=-1),
         }

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrpulse import (PropagationConfig, analytic_evolution,
-                     compare_with_analytic, ket, propagate, strategy_a,
-                     strategy_b, strategy_c)
+                     compare_with_analytic, deviation_from_analytic, ket,
+                     propagate, strategy_a, strategy_b, strategy_c)
 from lrpulse.core import hamiltonian_entries
 from lrpulse.errors import PropagationError
 from lrpulse.synthesis import TWO_PI, PulseSchedule, reduced_trajectory
@@ -61,11 +61,6 @@ class TestPropagate:
                 run(ket(1) * (1 + 5e-9))
             run(ket(1) * (1 + 5e-10))
 
-    def test_window_outside_domain(self):
-        sch = zero_schedule()
-        with pytest.raises(ValueError):
-            propagate(sch, ket(1), PropagationConfig(t_end=sch.t_end + 1.0))
-
     def test_non_finite_envelope_rejected(self):
         base = zero_schedule()
         bad = PulseSchedule(
@@ -95,8 +90,7 @@ def scalar_rk4(schedule, psi0, cfg):
     """Reference: one Python iteration per RK4 step on scalar amplitudes,
     recording every record_stride steps and after the last. Returns
     (times, states)."""
-    t0 = schedule.t_start if cfg.t_start is None else cfg.t_start
-    t1 = schedule.t_end if cfg.t_end is None else cfg.t_end
+    t0, t1 = schedule.t_start, schedule.t_end
     n_steps = max(1, int(np.ceil((t1 - t0) / (TWO_PI / schedule.omega)
                                  * cfg.steps_per_carrier_period)))
     dt = (t1 - t0) / n_steps
@@ -145,11 +139,12 @@ def test_matches_scalar_loop(strategy, spp, stride, window, psi0):
     # the block-vectorized integrator reorders rounding only: partial last
     # blocks, a stride above n_steps and sub-windows included
     sch = oracle_schedule(strategy)
-    span = sch.t_end - sch.t_start
-    t_start, t_end = (None, None) if window is None else (
-        sch.t_start + window[0] * span, sch.t_start + window[1] * span)
+    if window is not None:
+        span = sch.t_end - sch.t_start
+        sch = dataclasses.replace(sch, t_start=sch.t_start + window[0] * span,
+                                  t_end=sch.t_start + window[1] * span)
     cfg = PropagationConfig(steps_per_carrier_period=spp, record_stride=stride,
-                            t_start=t_start, t_end=t_end, record_states=True)
+                            record_states=True)
     report = propagate(sch, psi0, cfg)
     times, states = scalar_rk4(sch, psi0, cfg)
     assert np.array_equal(report.times, times)
@@ -178,17 +173,31 @@ class TestReport:
 class TestAnalyticComparison:
     def test_strategy_c_agreement(self):
         sch = strategy_c(0.3, 1.0, 2)
-        dev = compare_with_analytic(sch, sch.trajectory, ket(1),
-                                    PropagationConfig(
-                                        steps_per_carrier_period=1000))
+        dev = compare_with_analytic(sch, ket(1), PropagationConfig(
+            steps_per_carrier_period=1000))
         assert dev < 1e-6
+
+    def test_initial_state_from_report(self):
+        # the expansion starts from the report's first state, here |3>
+        sch = strategy_c(0.3, 1.0, 2)
+        report = propagate(sch, ket(3), PropagationConfig(
+            steps_per_carrier_period=1000, record_states=True))
+        assert deviation_from_analytic(report, sch) < 1e-6
+
+    def test_report_without_states(self):
+        sch = strategy_c(0.3, 1.0, 1)
+        report = propagate(sch, ket(1), PropagationConfig(
+            steps_per_carrier_period=100))
+        with pytest.raises(ValueError, match="record_states=True"):
+            deviation_from_analytic(report, sch)
 
     def test_domain_mismatch(self):
         sch = strategy_c(0.3, 1.0, 2)
         traj = reduced_trajectory(sch.trajectory.beta, sch.trajectory.beta_dot,
                                   1.0, sch.t_start, sch.t_start + 1.0)
-        with pytest.raises(ValueError):
-            compare_with_analytic(sch, traj, ket(1))
+        with pytest.raises(ValueError, match="does not cover"):
+            compare_with_analytic(dataclasses.replace(sch, trajectory=traj),
+                                  ket(1))
 
 
 def _nan_near(fn, t_bad, width):

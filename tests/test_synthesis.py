@@ -222,7 +222,7 @@ class TestSynthesizeGeneral:
         traj = lambda_trajectory()
         sch = synthesize_general(traj, w)
         for t in np.linspace(t0 + 0.02, t1 - 0.02, 9):
-            assert invariance_residual(sch, traj, t, 1e-7) < 1e-7
+            assert invariance_residual(sch, t, 1e-7) < 1e-7
             assert traj.constraint_residual(t) < 1e-9
 
     def test_verification_skips_branch_phase_checks(self):
@@ -256,7 +256,7 @@ class TestSynthesizeGeneral:
             lambda t: 2 * np.pi * lam_amp * np.cos(y(t)), t0, t1)
         sch = synthesize_general(traj, w)
         ts = np.linspace(t0 + 0.02, t1 - 0.02, 9)
-        assert np.max(invariance_residual(sch, traj, ts, 1e-7)) < 1e-7
+        assert np.max(invariance_residual(sch, ts, 1e-7)) < 1e-7
 
 
 class TestStrategyA:
@@ -448,7 +448,8 @@ class TestCalibration:
         assert solve_omega_T_for_B(0.037).value \
             == np.pi / _carrier_mean_sin2(0.037)
 
-    def test_omega_T_iterations_count_quadratures(self, beta_a_calls):
+    def test_omega_T_iterations_count_quadratures(self, beta_a_calls,
+                                                   monkeypatch):
         # iterations counts the distinct u at which g is integrated, the
         # bracket ends included: 20 to 25 over Table I and A = 0.8; B's
         # closed form evaluates eps once, for its residual
@@ -457,6 +458,21 @@ class TestCalibration:
             cal = solve_omega_T_for_A(A)
             assert cal.iterations == len(set(beta_a_calls)) <= 25, A
         assert solve_omega_T_for_B(0.4).iterations == 1
+        # and the distinct kappa at which delta epsilon is integrated, the
+        # hi end included; the kappa = 0 end needs no quadrature
+        kappas = []
+        beta_c = synthesis._beta_c
+
+        def recording(kappa, omega):
+            kappas.append(kappa)
+            return beta_c(kappa, omega)
+
+        monkeypatch.setattr(synthesis, "_beta_c", recording)
+        for target in (np.pi / 6, np.pi / 8, np.pi / 12, 0.01):
+            kappas.clear()
+            cal = calibrate_strategy_c(target)
+            assert cal.iterations == len(set(kappas)) == 28, target
+        assert calibrate_strategy_c(0.0).iterations == 0
 
     @pytest.mark.parametrize("B", [0.4, 0.5, 0.6, 0.7, 0.8])
     def test_table_ii_closed_form(self, B):
