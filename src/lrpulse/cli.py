@@ -79,7 +79,8 @@ def finite_float(text: str) -> float:
 def _merge_config(args: argparse.Namespace,
                   parser: argparse.ArgumentParser) -> argparse.Namespace:
     """Fill unset options from the JSON config file, if one was given; a value
-    passes its flag's type (str if none) on str(value), a switch takes a bool."""
+    passes its flag's type (str if none) on str(value), a switch takes a bool.
+    A required flag is not a config key: it must be given on the command line."""
     path = getattr(args, "config", None)
     if not path:
         return args
@@ -93,11 +94,14 @@ def _merge_config(args: argparse.Namespace,
     actions = {a.dest: a for a in sub.choices[args.command]._actions
                if a.dest not in ("help", "config")}
     for key, value in cfg.items():
-        if key not in actions:
+        action = actions.get(key)
+        if action is None:
             raise ValueError(f"{path}: unknown config key {key!r}")
+        if action.required:
+            raise ValueError(f"{path}: config key {key!r} is a required flag; "
+                             f"give {action.option_strings[0]} on the command line")
         if getattr(args, key) is not None or value is None:
             continue
-        action = actions[key]
         if action.nargs == 0 and not isinstance(value, bool):
             raise ValueError(f"{path}: config key {key!r} must be true or false")
         if action.nargs != 0:

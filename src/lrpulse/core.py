@@ -186,26 +186,23 @@ def invariance_residual(schedule, t, h: float):
     return np.linalg.norm(1j * dI - (H @ I - I @ H), axis=(-2, -1))[()]
 
 
-def analytic_evolution(aux_traj, psi0: np.ndarray, t) -> np.ndarray:
-    """Closed-form state at scalar or array times t, shape t.shape + (3,).
+def analytic_evolution(aux_traj, psi0: np.ndarray, t, t0=None) -> np.ndarray:
+    """Closed-form state at scalar or array times t, shape t.shape + (3,),
+    for the state psi0 given at time t0 (default: the trajectory start).
 
-    The initial amplitudes are projections of psi0 on the eigenvectors at the
-    trajectory start; each branch then picks up its accumulated phase as
+    Each branch k in (+1, -1, 0) carries the amplitude
+    c_k = <phi_k(t0)|psi0> exp(-i theta_k(t0)) and then the phase theta_k(t)
     supplied by the trajectory (phase_plus, phase_minus, phase_zero).
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if not is_normalized(psi0):
         raise ValueError("psi0 must be normalized")
-    p0, m0, z0 = invariant_eigenvectors(aux_traj.at(aux_traj.t_start))
-    cp, cm, cz = np.vdot(p0, psi0), np.vdot(m0, psi0), np.vdot(z0, psi0)
-    pt, mt, zt = invariant_eigenvectors(aux_traj.at(t))
-
-    def amp(c, phase):
-        return (c * np.exp(1j * phase(t)))[..., None]
-
-    return (amp(cp, aux_traj.phase_plus) * pt
-            + amp(cm, aux_traj.phase_minus) * mt
-            + amp(cz, aux_traj.phase_zero) * zt)
+    t0 = aux_traj.t_start if t0 is None else t0
+    phases = (aux_traj.phase_plus, aux_traj.phase_minus, aux_traj.phase_zero)
+    branches = zip(invariant_eigenvectors(aux_traj.at(t0)),
+                   invariant_eigenvectors(aux_traj.at(t)), phases)
+    return sum((np.vdot(phi0, psi0) * np.exp(1j * (phase(t) - phase(t0))))[..., None]
+               * phi for phi0, phi, phase in branches)
 
 
 def final_state_prediction(alpha: float, epsilon_T: float) -> np.ndarray:

@@ -139,6 +139,19 @@ class TestBatched:
             assert np.max(np.abs(got - ref)) < 1e-14, name
 
 
+class TestAnalyticEvolution:
+    def test_restart_at_t0(self):
+        # the state the expansion reaches at t0, given back at t0, continues
+        # as the expansion from the trajectory start
+        traj = strategy_c(0.3, 1.0, 2).trajectory
+        psi0 = np.array([0.6, 0.8j, 0.0])
+        t0 = traj.t_start + 0.37 * (traj.t_end - traj.t_start)
+        ts = np.linspace(t0, traj.t_end, 9)
+        restarted = analytic_evolution(
+            traj, analytic_evolution(traj, psi0, t0), ts, t0)
+        assert np.max(np.abs(restarted - analytic_evolution(traj, psi0, ts))) < 1e-12
+
+
 class TestConstraint:
     def test_residual(self):
         aux = AuxParams(alpha=0.3, beta=0.2, epsilon=0.1, lam=0.0,

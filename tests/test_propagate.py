@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from lrpulse import (PropagationConfig, analytic_evolution,
                      compare_with_analytic, deviation_from_analytic, ket,
-                     propagate, strategy_a, strategy_b, strategy_c)
+                     propagate, run_verification, solve_omega_T_for_A,
+                     strategy_a, strategy_b, strategy_c)
 from lrpulse.core import hamiltonian_entries
 from lrpulse.errors import PropagationError
 from lrpulse.synthesis import TWO_PI, PulseSchedule, reduced_trajectory
@@ -29,6 +31,22 @@ class TestConfig:
     def test_bad_stride(self):
         with pytest.raises(ValueError):
             PropagationConfig(record_stride=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("record_stride", 2.5), ("steps_per_carrier_period", 150.5),
+        ("record_stride", True), ("steps_per_carrier_period", "200")])
+    def test_non_integer_rejected(self, field, value):
+        # rejected at construction, not deep inside propagate
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PropagationConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = PropagationConfig(steps_per_carrier_period=np.int64(100),
+                                record_stride=np.int32(10))
+        report = propagate(zero_schedule(n_periods=1), ket(1), cfg)
+        assert report.steps == 100 and len(report.times) == 11
+        assert json.loads(json.dumps(report.summary()))[
+            "steps_per_carrier_period"] == 100
 
 
 class TestPropagate:
@@ -153,6 +171,31 @@ def test_matches_scalar_loop(strategy, spp, stride, window, psi0):
     assert abs(report.norm_drift - drift) <= 1e-12
 
 
+@functools.cache
+def window_schedule(strategy):
+    if strategy == "a":
+        return strategy_a(0.5, solve_omega_T_for_A(0.5).value, 1.0)
+    return strategy_c(0.3, 1.0, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(strategy=st.sampled_from("ac"),
+       window=st.tuples(st.floats(0.0, 0.45), st.floats(0.55, 1.0)),
+       psi0=st.sampled_from([ket(1), ket(3),
+                             np.array([0.6, 0.8j, 0.0])]))
+def test_rk4_matches_closed_form_on_any_window(strategy, window, psi0):
+    # a schedule narrowed at either end: the expansion starts from the run's
+    # first state at its first time; deviation_from_analytic of the report is
+    # compare_with_analytic, and the same run gives the norm drift
+    sch = window_schedule(strategy)
+    span = sch.t_end - sch.t_start
+    sch = dataclasses.replace(sch, t_start=sch.t_start + window[0] * span,
+                              t_end=sch.t_start + window[1] * span)
+    report = propagate(sch, psi0, PropagationConfig(record_states=True))
+    assert deviation_from_analytic(report, sch) <= 1e-6
+    assert report.norm_drift <= 1e-9
+
+
 class TestReport:
     def test_summary_and_csv(self, tmp_path):
         sch = strategy_c(0.2, 1.0, 2)
@@ -183,6 +226,16 @@ class TestAnalyticComparison:
         report = propagate(sch, ket(3), PropagationConfig(
             steps_per_carrier_period=1000, record_states=True))
         assert deviation_from_analytic(report, sch) < 1e-6
+
+    def test_narrowed_at_start_verifies(self):
+        # one period cut from the start: the expansion starts where the run
+        # starts, not at the trajectory start (there it read 0.184)
+        sch = strategy_c(0.3, 1.0, 4)
+        result = run_verification(dataclasses.replace(
+            sch, t_start=sch.t_start + TWO_PI / sch.omega))
+        check = result["checks"]["analytic_agreement"]
+        assert check["passed"] and check["max_deviation"] < 1e-9
+        assert result["passed"]
 
     def test_report_without_states(self):
         sch = strategy_c(0.3, 1.0, 1)
