@@ -344,6 +344,8 @@ class _Parser(argparse.ArgumentParser):
     unknown flag or a value its type rejects, so main exits 1, not 2."""
 
     def error(self, message):
+        if message.startswith("the following arguments are required: --"):
+            message += "; a config key cannot stand in for a required flag"
         raise argparse.ArgumentError(None, message)
 
 

@@ -68,11 +68,11 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
 
 
 def _gauss_legendre(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integral of f over each interval [lo[i], hi[i]], 7-point Gauss-Legendre."""
+    """Integral of f over each interval [lo, hi], elementwise for any shape."""
     half = 0.5 * (hi - lo)
-    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES[None, :]
+    xs = (0.5 * (lo + hi))[..., None] + half[..., None] * _GL_NODES
     ys = np.asarray(f(xs), dtype=float)
-    return (ys * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+    return (ys * _GL_WEIGHTS).sum(axis=-1) * half
 
 
 def integrate(f: Callable, a: float, b: float, n_cells: int) -> float:
@@ -108,7 +108,7 @@ class RunningIntegral:
     The domain is split into uniform cells integrated once with a 7-point
     Gauss-Legendre rule; a partial cell is integrated on demand. Accuracy is
     at machine level provided f varies over scales no finer than a cell. f is
-    evaluated on arrays of abscissae.
+    evaluated on arrays of abscissae, and times may have any shape.
     """
 
     def __init__(self, f: Callable, t_start: float, t_end: float, n_cells: int):
@@ -122,8 +122,7 @@ class RunningIntegral:
         self._cum = np.concatenate([[0.0], np.cumsum(cell)])
 
     def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.clip(np.searchsorted(self._edges, t_arr, side="right") - 1,
+        t = np.asarray(t, dtype=float)
+        idx = np.clip(np.searchsorted(self._edges, t, side="right") - 1,
                       0, len(self._edges) - 2)
-        out = self._cum[idx] + _gauss_legendre(self._f, self._edges[idx], t_arr)
-        return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+        return (self._cum[idx] + _gauss_legendre(self._f, self._edges[idx], t))[()]

@@ -59,9 +59,9 @@ class AuxiliaryTrajectory:
     Every callable takes scalar or array times; theta_dot is the invariant's
     phase-rate parameter. phase_plus / phase_minus / phase_zero are the
     phases picked up by the +1 / -1 / 0 invariant eigenvectors between
-    t_start and t; they are what analytic_evolution attaches to each branch.
-    general_trajectory leaves phase_plus / phase_minus None, and verify skips
-    the phase and analytic checks of its schedules.
+    t_start and t, which analytic_evolution attaches to each branch. Under the
+    schedule of synthesize_general, their rates <phi_k| i d/dt - H |phi_k>
+    are -theta_dot cos(beta)^2 (+1 and -1) and theta_dot sin(beta)^2 (0).
     """
 
     alpha: Callable
@@ -75,9 +75,9 @@ class AuxiliaryTrajectory:
     theta_dot: Callable
     t_start: float
     t_end: float
-    phase_plus: Callable | None = None
-    phase_minus: Callable | None = None
-    phase_zero: Callable | None = None
+    phase_plus: Callable
+    phase_minus: Callable
+    phase_zero: Callable
 
     def at(self, t) -> AuxParams:
         return AuxParams(
@@ -144,12 +144,14 @@ def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
 
     phase_zero = RunningIntegral(lambda u: theta_dot(u) * np.sin(beta(u)) ** 2,
                                  t_start, t_end, _GENERAL_TRAJECTORY_CELLS)
+    phase = RunningIntegral(lambda u: -theta_dot(u) * np.cos(beta(u)) ** 2,
+                            t_start, t_end, _GENERAL_TRAJECTORY_CELLS)
     return AuxiliaryTrajectory(
         alpha=alpha_of, alpha_dot=alpha_dot, beta=beta, beta_dot=beta_dot,
         epsilon=epsilon, epsilon_dot=epsilon_dot,
         lam=lam, lam_dot=lam_dot, theta_dot=theta_dot,
         t_start=t_start, t_end=t_end,
-        phase_zero=phase_zero,
+        phase_plus=phase, phase_minus=phase, phase_zero=phase_zero,
     )
 
 

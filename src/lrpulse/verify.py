@@ -22,7 +22,6 @@ SLOPE_TOL = 0.1
 _SPECTRUM_SAMPLES = 25                # trajectory times per check
 _RESIDUAL_SAMPLES = 50
 _PHASE_SAMPLES = 20
-_NO_BRANCH_PHASES = "trajectory has no +-1 branch phases"
 
 
 def _interior_times(schedule: PulseSchedule, ts: np.ndarray,
@@ -115,12 +114,9 @@ def lr_phase_rates_numeric(schedule: PulseSchedule, t,
 
 
 def check_phase_consistency(schedule: PulseSchedule) -> dict:
-    """The phases attached to each branch must integrate the measured rates:
-    d/dt of phase_plus/minus/zero equals <phi_k| i d/dt - H |phi_k>.
-    Skipped for a trajectory without +-1 branch phases."""
+    """The phases attached to each branch must integrate the rates measured
+    by lr_phase_rates_numeric: d/dt phase_k = <phi_k| i d/dt - H |phi_k>."""
     traj = schedule.trajectory
-    if traj.phase_plus is None:
-        return {"skipped": _NO_BRANCH_PHASES, "passed": True}
     omega = schedule.omega
     h = TWO_PI / omega * 1e-4
     grid = np.linspace(schedule.t_start, schedule.t_end, _PHASE_SAMPLES + 2)
@@ -137,15 +133,13 @@ def check_phase_consistency(schedule: PulseSchedule) -> dict:
 
 def check_analytic_agreement(schedule: PulseSchedule,
                              steps_per_period: int = 2000) -> dict:
-    """RK4 versus the eigenbasis expansion, componentwise after phase
-    alignment. Skipped for patched schedules, whose invariance is broken
-    inside the modification intervals by construction, and for a trajectory
-    without +-1 branch phases, which the expansion attaches."""
+    """RK4 from |1> versus the eigenbasis expansion with the trajectory's
+    three branch phases, componentwise after phase alignment. Skipped for
+    patched schedules, whose invariance is broken inside the modification
+    intervals by construction."""
     if schedule.strategy == "b":
         return {"skipped": "patched schedule has no exact expansion",
                 "passed": True}
-    if schedule.trajectory.phase_plus is None:
-        return {"skipped": _NO_BRANCH_PHASES, "passed": True}
     dev = compare_with_analytic(schedule, ket(1), PropagationConfig(
         steps_per_carrier_period=steps_per_period))
     return {"max_deviation": dev, "passed": bool(dev < ANALYTIC_TOL)}

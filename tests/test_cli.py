@@ -539,26 +539,37 @@ class TestConfigFile:
                      str(tmp_path / "o")]) == EXIT_VALIDATION
         assert f"config key {key!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,key,value", [
-        ("synth", "out", "from_config.csv"), ("tables", "which", "I"),
-        ("tables", "out", "from_config.csv")])
+    @pytest.mark.parametrize("command,key,value,flag_given", [
+        ("synth", "out", "from_config.csv", True), ("tables", "which", "I", True),
+        ("tables", "out", "from_config.csv", True),
+        ("synth", "out", "from_config.csv", False)],
+        ids=["synth-out-from_config.csv", "tables-which-I",
+             "tables-out-from_config.csv", "flag_omitted"])
     def test_required_flag_is_not_a_config_key(self, tmp_path, capsys,
-                                               command, key, value):
+                                               monkeypatch, command, key,
+                                               value, flag_given):
         # the flag is required on the command line, so a config value could
-        # never take effect
+        # never take effect; without the flag, the usage error says so
+        monkeypatch.chdir(tmp_path)
         base = ({"strategy": "c", "Omega0_over_omega": 0.3, "n_periods": 1}
                 if command == "synth" else {})
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**base, key: value}))
         out = tmp_path / "o.csv"
-        argv = [command, "--config", str(cfg), "--out", str(out)]
+        argv = [command, "--config", str(cfg)]
+        if flag_given:
+            argv += ["--out", str(out)]
         if command == "tables":
             argv += ["--which", "II"]
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert f"config key {key!r} is a required flag" in err
-        assert "command line" in err
-        assert not out.exists()
+        if flag_given:
+            assert f"config key {key!r} is a required flag" in err
+            assert "command line" in err
+        else:
+            assert "required: --out" in err
+            assert "a config key cannot stand in for a required flag" in err
+        assert not out.exists() and not (tmp_path / value).exists()
 
     def test_untyped_value_is_read_as_a_string(self, tmp_path, monkeypatch):
         # like the flag --summary 5, the config value 5 names the file "5"

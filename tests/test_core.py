@@ -137,6 +137,10 @@ class TestBatched:
             ref = np.array([f(t) for t in ts])
             assert got.shape == ref.shape, name
             assert np.max(np.abs(got - ref)) < 1e-14, name
+            # a 2-D array of times gives the same values in its shape
+            grid = f(ts[1:].reshape(4, 4))
+            assert grid.shape == (4, 4) + got.shape[1:], name
+            assert np.max(np.abs(grid.reshape(got[1:].shape) - got[1:])) < 1e-14, name
 
 
 class TestAnalyticEvolution:

@@ -99,6 +99,16 @@ class TestRunningIntegral:
         F = RunningIntegral(np.cos, -1.0, 1.0, 32)
         assert F(-1.0) == 0.0
 
+    @pytest.mark.parametrize("shape", [(16, 7), (3, 4)])
+    def test_2d_times_match_flattened(self, shape):
+        # a last axis of length 7, the rule's node count, must not be taken
+        # for the quadrature nodes, and other shapes must broadcast
+        F = RunningIntegral(np.cos, 0.0, 3.0, 16)
+        ts = np.random.default_rng(5).uniform(0.0, 3.0, shape)
+        got = F(ts)
+        assert got.shape == shape
+        assert np.max(np.abs(got - F(ts.ravel()).reshape(shape))) <= 1e-15
+
 
 class TestGaussLegendreTable:
     def test_literals_are_leggauss(self):

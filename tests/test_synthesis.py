@@ -10,7 +10,7 @@ from lrpulse import (calibrate_strategy_c, carrier_singular_times,
                      invariance_residual, load_schedule_csv, reduced_trajectory,
                      solve_omega_T_for_A, solve_omega_T_for_B, strategy_a,
                      strategy_b, strategy_c, synthesize_general)
-from lrpulse import run_verification, synthesis, verify
+from lrpulse import compare_with_analytic, ket, run_verification, synthesis
 from lrpulse.errors import CalibrationError, SynthesisError
 from lrpulse.numerics import Bracket, find_root, integrate
 from lrpulse.synthesis import (KAPPA_SUP, _bessel_j0, _carrier_mean_sin2,
@@ -225,17 +225,26 @@ class TestSynthesizeGeneral:
             assert invariance_residual(sch, t, 1e-7) < 1e-7
             assert traj.constraint_residual(t) < 1e-9
 
-    def test_verification_skips_branch_phase_checks(self):
-        # general_trajectory has no +-1 branch phases to check or expand in
+    def test_phase_zero_matches_quadrature(self):
+        # phase_zero's integrand calls alpha, itself a running integral, on
+        # the outer rule's 2-D array of nodes
+        traj = lambda_trajectory()
+        rate = lambda u: traj.theta_dot(u) * np.sin(traj.beta(u)) ** 2
+        ref = simpson(rate, 0.3, 0.7, 2 ** 12)
+        assert abs(traj.phase_zero(0.7) - ref) < 1e-10
+
+    def test_verification_runs_every_check(self):
+        # the branch phases of a lambda trajectory expand and verify like
+        # those of strategies a, b and c
         result = run_verification(synthesize_general(lambda_trajectory(),
                                                      2 * np.pi))
         checks = result["checks"]
         assert result["passed"]
-        assert checks["spectrum"]["passed"] and checks["invariance"]["passed"]
+        assert all("skipped" not in check for check in checks.values())
         assert checks["invariance"]["max_residual_over_omega"] < 1e-9
-        for name in ("lr_phase_consistency", "analytic_agreement"):
-            assert checks[name] == {"skipped": verify._NO_BRANCH_PHASES,
-                                    "passed": True}
+        assert checks["lr_phase_consistency"]["max_rate_mismatch_over_omega"] \
+            <= 1e-7
+        assert checks["analytic_agreement"]["max_deviation"] <= 1e-10
 
     @settings(max_examples=20, deadline=None)
     @given(alpha0=st.floats(0.8, 1.2), beta0=st.floats(0.6, 1.2),
@@ -257,6 +266,9 @@ class TestSynthesizeGeneral:
         sch = synthesize_general(traj, w)
         ts = np.linspace(t0 + 0.02, t1 - 0.02, 9)
         assert np.max(invariance_residual(sch, ts, 1e-7)) < 1e-7
+        # and the branch phases carry every state along it
+        for psi0 in (ket(1), ket(3), np.array([0.6, 0.8j, 0.0])):
+            assert compare_with_analytic(sch, psi0) <= 1e-10
 
 
 class TestStrategyA:
