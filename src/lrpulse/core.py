@@ -70,9 +70,9 @@ def hamiltonian_entries(schedule, t):
     from H, such as the invariant-branch phases, is relative to it. Times
     outside the schedule domain raise DomainError; the domain is widened by
     a relative 1e-9 because step grids that end at t_end can overshoot it by
-    round-off. Pump and Stokes share the carrier, and a closure they share
-    is evaluated once: h32 is h12 when Omega_s is Omega_p, and h33 is h11
-    when Delta_s is Delta_p.
+    round-off. Pump and Stokes share the carrier. A closure they share is
+    evaluated once, and only this function looks for one: h32 is h12 when
+    Omega_s is Omega_p, and h33 is h11 when Delta_s is Delta_p.
     """
     t = np.asarray(t, dtype=float)
     slack = 1e-9 * max(1.0, abs(schedule.t_start), abs(schedule.t_end))

@@ -108,7 +108,8 @@ class RunningIntegral:
     The domain is split into uniform cells integrated once with a 7-point
     Gauss-Legendre rule; a partial cell is integrated on demand. Accuracy is
     at machine level provided f varies over scales no finer than a cell. f is
-    evaluated on arrays of abscissae, and times may have any shape.
+    evaluated on arrays of abscissae, and times may have any shape; values of
+    f with leading component axes give results with the same leading axes.
     """
 
     def __init__(self, f: Callable, t_start: float, t_end: float, n_cells: int):
@@ -119,10 +120,11 @@ class RunningIntegral:
         self.t_end = t_end
         self._edges = np.linspace(t_start, t_end, n_cells + 1)
         cell = _gauss_legendre(f, self._edges[:-1], self._edges[1:])
-        self._cum = np.concatenate([[0.0], np.cumsum(cell)])
+        self._cum = np.cumsum(np.insert(cell, 0, 0.0, axis=-1), axis=-1)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         idx = np.clip(np.searchsorted(self._edges, t, side="right") - 1,
                       0, len(self._edges) - 2)
-        return (self._cum[idx] + _gauss_legendre(self._f, self._edges[idx], t))[()]
+        partial = _gauss_legendre(self._f, self._edges[idx], t)
+        return (self._cum[..., idx] + partial)[()]

@@ -5,8 +5,9 @@ fixed fraction of the carrier period. No renormalization is applied during
 integration; norm drift is reported as an integrator-health diagnostic.
 RK4 runs on the propagators of all step blocks at once, so record_stride
 moves the states only at round-off (<= 1e-13); identical configurations
-still give bit-identical outputs. One stage function gives -i H x to all four
-RK4 stages; the analytic comparisons start at the run's first state and time.
+still give bit-identical outputs. H is sampled once, in the layout the blocks
+read, and one stage function gives -i H x to all four RK4 stages; the
+analytic comparisons start at the run's first state and time.
 """
 
 from __future__ import annotations
@@ -50,17 +51,26 @@ class TransferReport:
     times: np.ndarray
     populations: np.ndarray        # shape (n_samples, 3)
     norms: np.ndarray
-    final_populations: np.ndarray
-    norm_drift: float
-    max_p2: float
     steps: int
     config: PropagationConfig
     schedule_header: dict
     states: np.ndarray | None = None
 
     @property
+    def final_populations(self) -> np.ndarray:
+        return self.populations[-1]
+
+    @property
     def final_p3(self) -> float:
         return float(self.final_populations[2])
+
+    @property
+    def max_p2(self) -> float:
+        return float(np.max(self.populations[:, 1]))
+
+    @property
+    def norm_drift(self) -> float:
+        return float(np.max(np.abs(self.norms - 1.0)))
 
     def summary(self) -> dict:
         return {
@@ -99,32 +109,20 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
     L = max(k for k in range(1, min(stride, isqrt(n_steps // 64) or 1) + 1)
             if stride % k == 0)
 
-    # H at the start, middle and end of step b*L + j at [:, j, b]; steps past
-    # n_steps have H = 0, so that their RK4 step is exactly the identity; an
-    # array returned for two entries (a shared closure) is laid out once
-    grid = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
+    # H sampled once, on a (2L+1, n_blocks) grid whose row 2j+m of block b is
+    # half-step 2(bL+j)+m (start, middle or end of step bL+j), clipped at t1
     n_blocks = -(-n_steps // L)
-    full, rest = divmod(n_steps, L)
-    entries = hamiltonian_entries(schedule, grid)
-    blocked = {}
-    for arr in entries:
-        if id(arr) in blocked:
-            continue
-        if not np.all(np.isfinite(arr)):
-            t_bad = grid[np.argmin(np.isfinite(arr))]
-            raise PropagationError(f"non-finite Hamiltonian sample at t={t_bad!r}")
-        out = np.zeros((3, L, n_blocks), dtype=arr.dtype)
-        for m in range(3):
-            samples = arr[m:m + 2 * n_steps:2]
-            out[m, :, :full] = samples[:full * L].reshape(full, L).T
-            out[m, :rest, -1] = samples[full * L:]
-        blocked[id(arr)] = out
-    a, p, s, d = (blocked[id(arr)] for arr in entries)
+    grid = t0 + 0.5 * dt * np.minimum(
+        2 * L * np.arange(n_blocks) + np.arange(2 * L + 1)[:, None], 2 * n_steps)
+    a, p, s, d = hamiltonian_entries(schedule, grid)
+    t_bad = grid[~(np.isfinite(a) & np.isfinite(p) & np.isfinite(s) & np.isfinite(d))]
+    if t_bad.size:
+        raise PropagationError(f"non-finite Hamiltonian sample at t={t_bad.min()!r}")
 
     # classical RK4 on all block propagators at once: rows is (3, 3, n_blocks),
     # and stage gives -i H x at sample m (start, middle, end) of step j
     def stage(m, j, x1, x2, x3):
-        h11, h12, h32, h33 = a[m, j], p[m, j], s[m, j], d[m, j]
+        h11, h12, h32, h33 = (x[2 * j + m] for x in (a, p, s, d))
         return (-1j * (h11 * x1 + h12 * x2),
                 -1j * (h12.conjugate() * x1 + h32.conjugate() * x3),
                 -1j * (h32 * x2 + h33 * x3))
@@ -136,8 +134,9 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
         k2 = stage(1, j, *(c + half * k for c, k in zip(rows, k1)))
         k3 = stage(1, j, *(c + half * k for c, k in zip(rows, k2)))
         k4 = stage(2, j, *(c + dt * k for c, k in zip(rows, k3)))
-        for c, y1, y2, y3, y4 in zip(rows, k1, k2, k3, k4):
-            c += sixth * (y1 + 2 * y2 + 2 * y3 + y4)
+        live = -(-(n_steps - j) // L)   # the blocks b with a step bL + j
+        for c, y1, y2, y3, y4 in zip(rows[..., :live], k1, k2, k3, k4):
+            c += (sixth * (y1 + 2 * y2 + 2 * y3 + y4))[:, :live]
 
     # chain the block ends; records fall on every (stride/L)-th and the last
     states = [psi0]
@@ -149,9 +148,7 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
     pops = np.abs(states) ** 2
     norms = np.sqrt(pops.sum(axis=1))
     return TransferReport(
-        times=times, populations=pops, norms=norms, final_populations=pops[-1],
-        norm_drift=float(np.max(np.abs(norms - 1.0))),
-        max_p2=float(np.max(pops[:, 1])), steps=n_steps, config=cfg,
+        times=times, populations=pops, norms=norms, steps=n_steps, config=cfg,
         schedule_header=schedule.header(),
         states=states if cfg.record_states else None)
 

@@ -142,16 +142,17 @@ def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
             alpha=alpha_of(t), beta=beta(t), epsilon=epsilon(t), lam=lam(t),
             epsilon_dot=epsilon_dot(t), lam_dot=lam_dot(t)))
 
-    phase_zero = RunningIntegral(lambda u: theta_dot(u) * np.sin(beta(u)) ** 2,
-                                 t_start, t_end, _GENERAL_TRAJECTORY_CELLS)
-    phase = RunningIntegral(lambda u: -theta_dot(u) * np.cos(beta(u)) ** 2,
-                            t_start, t_end, _GENERAL_TRAJECTORY_CELLS)
+    # the +-1 and the 0 branch phase rates, from one theta_dot sample
+    rates = lambda u: theta_dot(u) * np.stack([-np.cos(beta(u)) ** 2,
+                                               np.sin(beta(u)) ** 2])
+    phases = RunningIntegral(rates, t_start, t_end, _GENERAL_TRAJECTORY_CELLS)
+    phase = lambda t: phases(t)[0]
     return AuxiliaryTrajectory(
         alpha=alpha_of, alpha_dot=alpha_dot, beta=beta, beta_dot=beta_dot,
         epsilon=epsilon, epsilon_dot=epsilon_dot,
         lam=lam, lam_dot=lam_dot, theta_dot=theta_dot,
         t_start=t_start, t_end=t_end,
-        phase_plus=phase, phase_minus=phase, phase_zero=phase_zero,
+        phase_plus=phase, phase_minus=phase, phase_zero=lambda t: phases(t)[1],
     )
 
 
@@ -207,8 +208,7 @@ class PulseSchedule:
         op = np.asarray(self.Omega_p(ts), dtype=complex)
         os_ = np.asarray(self.Omega_s(ts), dtype=complex)
         dd = np.asarray(self.Delta_p(ts), dtype=float)
-        if (self.Delta_s is not self.Delta_p
-                and np.max(np.abs(self.Delta_s(ts) - dd)) > 1e-12 * self.omega):
+        if np.max(np.abs(self.Delta_s(ts) - dd)) > 1e-12 * self.omega:
             raise ValueError("Stokes detuning differs from the pump detuning; "
                              "a schedule file holds one detuning column")
         np.savetxt(path, np.column_stack([ts / time_scale, op.real, op.imag,
@@ -382,8 +382,8 @@ def synthesize_general(aux: AuxiliaryTrajectory, omega: float) -> PulseSchedule:
 def _reduced_schedule(strategy: str, params: dict, beta: Callable,
                       beta_dot: Callable, envelope: Callable, omega: float,
                       t_start: float, t_end: float) -> PulseSchedule:
-    """Schedule of the reduced trajectory of beta: pump and Stokes share the
-    envelope and the detuning Delta = -2 epsilon_dot (the same closures)."""
+    """Schedule of the reduced trajectory of beta: pump and Stokes get one
+    envelope closure and one detuning closure, Delta = -2 epsilon_dot."""
     traj = reduced_trajectory(beta, beta_dot, omega, t_start, t_end)
     delta = lambda t: -2.0 * traj.epsilon_dot(t)
     return PulseSchedule(

@@ -109,6 +109,17 @@ class TestRunningIntegral:
         assert got.shape == shape
         assert np.max(np.abs(got - F(ts.ravel()).reshape(shape))) <= 1e-15
 
+    def test_component_axes_match_scalar_integrals(self):
+        # an integrand with a leading component axis integrates each row as
+        # its own scalar integrand would
+        F = RunningIntegral(lambda u: np.stack([np.sin(u), u * u]), 0.0, 3.0, 16)
+        ts = np.random.default_rng(6).uniform(0.0, 3.0, (4, 5))
+        got = F(ts)
+        assert got.shape == (2, 4, 5)
+        for row, f in zip(got, (np.sin, lambda u: u * u)):
+            assert np.array_equal(row, RunningIntegral(f, 0.0, 3.0, 16)(ts))
+        assert F(1.5).shape == (2,)
+
 
 class TestGaussLegendreTable:
     def test_literals_are_leggauss(self):

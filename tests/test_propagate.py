@@ -92,6 +92,29 @@ class TestPropagate:
             propagate(bad, ket(1), PropagationConfig(
                 steps_per_carrier_period=100))
 
+    def test_non_finite_error_names_earliest_time(self):
+        # 6400 steps of 0.01 at stride 10 run in blocks of L = 10 steps, 21
+        # half-step rows each; NaN from half-step 75 (block 3, row 15) and
+        # from half-step 204 (block 10, row 4), the later one at the lower row
+        base = zero_schedule(omega=TWO_PI, n_periods=64)
+        dt = (base.t_end - base.t_start) / 6400
+        starts = [base.t_start + 0.5 * dt * k for k in (75, 204)]
+
+        def omega_p(t):
+            t = np.asarray(t, dtype=float)
+            nan = np.zeros(t.shape, dtype=bool)
+            for t_bad in starts:
+                nan |= (t >= t_bad) & (t < t_bad + 1.25 * dt)
+            return np.where(nan, np.nan, base.Omega_p(t))
+
+        bad = dataclasses.replace(base, Omega_p=omega_p)
+        with pytest.raises(PropagationError) as info:
+            propagate(bad, ket(1), PropagationConfig(
+                steps_per_carrier_period=100, record_stride=10))
+        t_reported = float(str(info.value).split("t=")[1].split("(")[-1]
+                           .rstrip(")"))
+        assert t_reported == starts[0]
+
     def test_recording(self):
         sch = zero_schedule()
         report = propagate(sch, ket(2), PropagationConfig(
@@ -211,6 +234,28 @@ class TestReport:
         assert lines[1] == "t,p1,p2,p3,norm"
         first = [float(x) for x in lines[2].split(",")]
         assert first[0] == pytest.approx(sch.t_start / (np.pi / 2.0))
+
+    def test_summaries_follow_data(self):
+        # the summaries are read from populations and norms, so a replaced
+        # report cannot keep stale ones
+        report = propagate(strategy_c(0.2, 1.0, 2), ket(1), PropagationConfig(
+            steps_per_carrier_period=300))
+        n = len(report.times)
+        pops = np.zeros((n, 3))
+        pops[:, 0] = 1.0
+        pops[n // 2] = [0.5, 0.3, 0.2]
+        pops[-1] = [0.1, 0.2, 0.7]
+        norms = np.ones(n)
+        norms[1] = 1.0 + 3e-4
+        edited = dataclasses.replace(report, populations=pops, norms=norms)
+        assert edited.final_p3 == 0.7
+        assert edited.max_p2 == 0.3
+        assert edited.norm_drift == pytest.approx(3e-4, rel=1e-9)
+        summary = edited.summary()
+        assert summary["final_populations"] == [0.1, 0.2, 0.7]
+        assert summary["max_p2"] == 0.3
+        assert summary["norm_drift"] == edited.norm_drift
+        assert report.final_p3 != 0.7
 
 
 class TestAnalyticComparison:

@@ -11,6 +11,7 @@ from lrpulse import (calibrate_strategy_c, carrier_singular_times,
                      solve_omega_T_for_A, solve_omega_T_for_B, strategy_a,
                      strategy_b, strategy_c, synthesize_general)
 from lrpulse import compare_with_analytic, ket, run_verification, synthesis
+from lrpulse.core import lr_phase_rate
 from lrpulse.errors import CalibrationError, SynthesisError
 from lrpulse.numerics import Bracket, find_root, integrate
 from lrpulse.synthesis import (KAPPA_SUP, _bessel_j0, _carrier_mean_sin2,
@@ -232,6 +233,20 @@ class TestSynthesizeGeneral:
         rate = lambda u: traj.theta_dot(u) * np.sin(traj.beta(u)) ** 2
         ref = simpson(rate, 0.3, 0.7, 2 ** 12)
         assert abs(traj.phase_zero(0.7) - ref) < 1e-10
+
+    def test_phase_rate_sampled_once(self, monkeypatch):
+        # the three branch phases share one running integral of theta_dot
+        calls = []
+
+        def counted(aux):
+            calls.append(aux)
+            return lr_phase_rate(aux)
+
+        monkeypatch.setattr(synthesis, "lr_phase_rate", counted)
+        traj = lambda_trajectory()
+        assert len(calls) == 1
+        t = np.linspace(0.3, 0.7, 11)
+        assert np.array_equal(traj.phase_plus(t), traj.phase_minus(t))
 
     def test_verification_runs_every_check(self):
         # the branch phases of a lambda trajectory expand and verify like
