@@ -59,6 +59,15 @@ class AuxParams:
                       - self.lam_dot * np.cos(self.beta) * np.cos(self.epsilon))
 
 
+def _check_in_window(window, name: str, t) -> None:
+    """Raise DomainError unless times t lie in [t_start, t_end] of window."""
+    t, lo, hi = np.asarray(t, dtype=float), window.t_start, window.t_end
+    slack = 1e-9 * max(1.0, abs(lo), abs(hi))   # grids ending at t_end overshoot
+    if t.size and not (lo - slack <= t.min() and t.max() <= hi + slack):
+        raise DomainError(f"{name} [{float(lo)}, {float(hi)}] does not cover "
+                          f"t in [{float(t.min())}, {float(t.max())}]")
+
+
 def hamiltonian_entries(schedule, t):
     """Nonzero entries (h11, h12, h32, h33) of the full (non-RWA) Hamiltonian
     at scalar or array times t, hbar = 1:
@@ -68,18 +77,13 @@ def hamiltonian_entries(schedule, t):
     The couplings keep their cos(omega*t) carrier factors and the diagonal is
     -omega - Delta. The energy reference is <2|H|2> = 0: every phase derived
     from H, such as the invariant-branch phases, is relative to it. Times
-    outside the schedule domain raise DomainError; the domain is widened by
-    a relative 1e-9 because step grids that end at t_end can overshoot it by
-    round-off. Pump and Stokes share the carrier. A closure they share is
-    evaluated once, and only this function looks for one: h32 is h12 when
-    Omega_s is Omega_p, and h33 is h11 when Delta_s is Delta_p.
+    beyond the schedule window (widened by a relative 1e-9) raise DomainError.
+    Pump and Stokes share the carrier. A closure they share is evaluated
+    once, and only this function looks for one: h32 is h12 when Omega_s is
+    Omega_p, and h33 is h11 when Delta_s is Delta_p.
     """
     t = np.asarray(t, dtype=float)
-    slack = 1e-9 * max(1.0, abs(schedule.t_start), abs(schedule.t_end))
-    if t.size and not (schedule.t_start - slack <= t.min()
-                       and t.max() <= schedule.t_end + slack):
-        raise DomainError(f"t in [{t.min()}, {t.max()}] outside schedule "
-                          f"domain [{schedule.t_start}, {schedule.t_end}]")
+    _check_in_window(schedule, "schedule domain", t)
     h12 = np.asarray(schedule.Omega_p(t), dtype=complex)
     carrier = np.cos(schedule.omega * t)   # sampled after Omega_p: lower peak memory
     h12 = h12 * carrier
@@ -188,7 +192,8 @@ def invariance_residual(schedule, t, h: float):
 
 def analytic_evolution(aux_traj, psi0: np.ndarray, t, t0=None) -> np.ndarray:
     """Closed-form state at scalar or array times t, shape t.shape + (3,),
-    for the state psi0 given at time t0 (default: the trajectory start).
+    for the state psi0 given at time t0 (default: the trajectory start); t
+    or t0 outside the trajectory domain raise DomainError.
 
     Each branch k in (+1, -1, 0) carries the amplitude
     c_k = <phi_k(t0)|psi0> exp(-i theta_k(t0)) and then the phase theta_k(t)
@@ -198,6 +203,7 @@ def analytic_evolution(aux_traj, psi0: np.ndarray, t, t0=None) -> np.ndarray:
     if not is_normalized(psi0):
         raise ValueError("psi0 must be normalized")
     t0 = aux_traj.t_start if t0 is None else t0
+    _check_in_window(aux_traj, "trajectory domain", np.append(t, t0))
     phases = (aux_traj.phase_plus, aux_traj.phase_minus, aux_traj.phase_zero)
     branches = zip(invariant_eigenvectors(aux_traj.at(t0)),
                    invariant_eigenvectors(aux_traj.at(t)), phases)

@@ -629,6 +629,8 @@ def strategy_c(Omega0: float, omega: float, n_periods: int) -> PulseSchedule:
     if not 0.0 <= Omega0 < omega * KAPPA_SUP:
         raise ValueError(
             f"Omega0 must lie in [0, omega/(2*sqrt(2))) = [0, {omega * KAPPA_SUP:.6g})")
+    if isinstance(n_periods, bool) or not isinstance(n_periods, (int, np.integer)):
+        raise ValueError(f"n_periods must be an integer, not {n_periods!r}")
     if n_periods < 1:
         raise ValueError("n_periods must be at least 1")
     kappa = Omega0 / omega

@@ -26,11 +26,11 @@ _PHASE_SAMPLES = 20
 
 def _interior_times(schedule: PulseSchedule, ts: np.ndarray,
                     margin: float) -> np.ndarray:
-    """The times ts outside any patched interval widened by margin; raises
-    ValueError if there are none."""
+    """The times ts outside any patch window (half-width from the schedule's
+    own T) widened by margin; raises ValueError if there are none."""
     patched = np.asarray(schedule.params.get("singular_times", []))
-    delta_t = schedule.params.get("delta_t_over_T", 0.0) \
-        * (schedule.t_end - schedule.t_start)
+    delta_t = (schedule.params.get("delta_t_over_T", 0.0)
+               * schedule.params.get("omega_T", 0.0) / schedule.omega)
     kept = ts[np.all(np.abs(ts[:, None] - patched) > delta_t + margin, axis=-1)]
     if not kept.size:
         raise ValueError("no sample time lies outside the patch windows of "

@@ -187,6 +187,11 @@ class TestVerify:
                                        "lr_phase_consistency",
                                        "analytic_agreement"}
 
+    def test_run_ending_past_t_end_verifies(self):
+        # propagate's last record lands an ulp past t_end = 29742
+        assert main(["verify", "--strategy", "a", "--A", "0.5",
+                     "--T", "29742"]) == EXIT_OK
+
     def test_corrupted_schedule_fails(self, tmp_path):
         sched = tmp_path / "s.csv"
         assert main(["synth", "--strategy", "a", "--A", "0.5",

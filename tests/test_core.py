@@ -114,6 +114,31 @@ class TestInvariant:
                                    lam=0.0))
 
 
+class TestWindow:
+    # one rule for the schedule window and the trajectory domain: times within
+    # a relative 1e-9 of either end lie inside, later or earlier ones do not
+    @pytest.mark.parametrize("evaluate", [
+        lambda sch, t: hamiltonian_at(sch, t),
+        lambda sch, t: analytic_evolution(sch.trajectory, ket(1), t),
+        lambda sch, t: analytic_evolution(sch.trajectory, ket(1), sch.t_end, t),
+    ], ids=["hamiltonian_at", "analytic_evolution", "analytic_evolution_t0"])
+    def test_relative_slack(self, evaluate):
+        sch = strategy_c(0.3, 1.0, 2)
+        slack = 1e-9 * sch.t_end
+        for t in (sch.t_start - 0.5 * slack, sch.t_end + 0.5 * slack):
+            evaluate(sch, t)
+        for t in (sch.t_start - 2 * slack, sch.t_end + 2 * slack):
+            with pytest.raises(DomainError, match="does not cover"):
+                evaluate(sch, t)
+
+    def test_message_prints_plain_floats(self):
+        sch = strategy_c(0.3, 1.0, 2)
+        with pytest.raises(DomainError) as info:
+            hamiltonian_at(sch, np.array([sch.t_start, sch.t_end + 1.0]))
+        assert "np.float64" not in str(info.value)
+        assert f"t in [{sch.t_start}, {sch.t_end + 1.0}]" in str(info.value)
+
+
 class TestBatched:
     def test_batched_matches_pointwise(self):
         # numpy's array and scalar loops for cos/arcsin may differ in the last

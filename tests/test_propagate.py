@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,16 @@ class TestPropagate:
         t_reported = float(str(info.value).split("t=")[1].split("(")[-1]
                            .rstrip(")"))
         assert t_reported == starts[0]
+
+    def test_non_finite_error_prints_plain_float(self):
+        base = zero_schedule()
+        bad = dataclasses.replace(base, Omega_p=_nan_near(
+            base.Omega_p, base.t_start + 1.0, 0.1))
+        with pytest.raises(PropagationError) as info:
+            propagate(bad, ket(1), PropagationConfig(
+                steps_per_carrier_period=100))
+        assert "np.float64" not in str(info.value)
+        assert re.search(r"at t=\d+\.\d+$", str(info.value))
 
     def test_recording(self):
         sch = zero_schedule()
@@ -281,6 +292,23 @@ class TestAnalyticComparison:
         check = result["checks"]["analytic_agreement"]
         assert check["passed"] and check["max_deviation"] < 1e-9
         assert result["passed"]
+
+    def test_record_past_the_window_end(self):
+        # at T = 25210 the last step lands an ulp past t_end, within the
+        # window's relative slack, and the closed form is compared there too
+        T = 25210.0
+        sch = strategy_a(0.5, solve_omega_T_for_A(0.5).value / T, T)
+        cfg = PropagationConfig(steps_per_carrier_period=200)
+        assert propagate(sch, ket(1), cfg).times[-1] > sch.t_end
+        assert compare_with_analytic(sch, ket(1), cfg) < 1e-6
+
+    def test_narrowed_b_keeps_its_patch_width(self):
+        # the patches keep the half-width 0.01 * T of the schedule's own
+        # T = 1, not 0.01 of the narrowed window's span 0.5
+        sch = strategy_b(0.5, 11.34 * np.pi, 1.0, 0.01)
+        result = run_verification(dataclasses.replace(sch, t_start=0.25,
+                                                      t_end=0.75))
+        assert result["passed"], result["checks"]
 
     def test_report_without_states(self):
         sch = strategy_c(0.3, 1.0, 1)

@@ -413,6 +413,13 @@ class TestStrategyC:
         with pytest.raises(ValueError):
             strategy_c(0.2, 1.0, 0)
 
+    def test_n_periods_must_be_an_integer(self):
+        assert strategy_c(0.3, 1.0, np.int64(2)).params["n_periods"] == 2
+        for bad in (2.5, True, "2"):
+            with pytest.raises(ValueError,
+                               match=f"n_periods must be an integer, not {bad!r}"):
+                strategy_c(0.3, 1.0, bad)
+
 
 class TestCalibration:
     def test_omega_T_spot_values(self):
