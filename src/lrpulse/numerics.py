@@ -1,5 +1,6 @@
-"""Shared numerical kernels: bisection, stencils, and one quadrature rule,
-7-point Gauss-Legendre on uniform cells (integrate, RunningIntegral).
+"""Shared numerical kernels: a bracketed root finder (Brent-Dekker), stencils,
+and one quadrature rule, 7-point Gauss-Legendre on uniform cells (integrate,
+RunningIntegral).
 
 All routines are pure functions (or immutable precomputed tables) and are safe
 to call concurrently.
@@ -21,7 +22,7 @@ _GL_NODES = np.array([-0.9491079123427586, -0.7415311855993945, -0.4058451513773
 _GL_WEIGHTS = np.array([0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
                         0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
                         0.12948496616886973])
-_MAX_BISECTIONS = 200
+_MAX_ROOT_STEPS = 200
 _INTEGRATE_TOL = 1e-10
 _MAX_CELLS = 2**17   # 7 * 2**17 abscissae, about 2**20
 
@@ -40,31 +41,66 @@ class Bracket:
 
 def find_root(f: Callable[[float], float], bracket: Bracket,
               tol: float) -> tuple[float, int]:
-    """Bisection root of f on the bracket.
+    """Root of f on the bracket by Brent's method (Algorithms for Minimization
+    without Derivatives, 1973, ch. 4): inverse quadratic or secant steps,
+    bisection where they stall.
 
-    Returns (root, iterations). Terminates when the bracket width drops
-    below tol or an exact zero is hit.
+    Returns (root, iterations), iterations counting the evaluations of f
+    inside the bracket. The root is the end with the smaller |f| of a bracket
+    at most tol/2 wide, or an exact zero, so it lies within tol/2 of a sign
+    change of f.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a positive finite number")
-    lo, hi = bracket.lo, bracket.hi
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo, 0
-    if fhi == 0.0:
-        return hi, 0
-    if flo * fhi > 0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    for it in range(1, _MAX_BISECTIONS + 1):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0 or (hi - lo) <= tol:
-            return mid, it
-        if flo * fmid < 0:
-            hi = mid
+    a, b = bracket.lo, bracket.hi
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a, 0
+    if fb == 0.0:
+        return b, 0
+    if not (fa < 0 < fb or fb < 0 < fa):
+        raise ValueError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
+    # b is the best estimate and c the end across the sign change from it; a is
+    # the previous b. d is the last step and e the one before it
+    c, fc = a, fa
+    d = e = b - a
+    step = 0.25 * tol   # the least step, and half the final bracket width
+    for it in range(_MAX_ROOT_STEPS + 1):
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        half = 0.5 * (c - b)
+        if abs(half) <= step or fb == 0.0:
+            return b, it
+        if it == _MAX_ROOT_STEPS:
+            break
+        if abs(e) >= step and abs(fa) > abs(fb):
+            # secant through a and b, or inverse quadratic through a, b and c
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            # accept a step that stays well inside the bracket and shrinks
+            # faster than the one before last; bisect otherwise
+            if 2.0 * p < min(3.0 * half * q - abs(step * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
         else:
-            lo, flo = mid, fmid
-    raise ConvergenceError(f"bisection did not converge in {_MAX_BISECTIONS} iterations")
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > step else (step if half > 0 else -step)
+        fb = f(b)
+    raise ConvergenceError(f"root search did not converge in {_MAX_ROOT_STEPS} steps")
 
 
 def _gauss_legendre(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -109,11 +109,13 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
     L = max(k for k in range(1, min(stride, isqrt(n_steps // 64) or 1) + 1)
             if stride % k == 0)
 
-    # H sampled once, on a (2L+1, n_blocks) grid whose row 2j+m of block b is
-    # half-step 2(bL+j)+m (start, middle or end of step bL+j), clipped at t1
+    # H sampled once, on a (2L, n_blocks + 1) grid whose row r of column c is
+    # half-step 2cL + r, clipped at t1; the half-step 2(bL+j)+m (start, middle
+    # or end of step bL+j) is row (2j+m) mod 2L of column b + (2j+m) div 2L,
+    # so the end of a block and the start of the next share one sample
     n_blocks = -(-n_steps // L)
     grid = t0 + 0.5 * dt * np.minimum(
-        2 * L * np.arange(n_blocks) + np.arange(2 * L + 1)[:, None], 2 * n_steps)
+        2 * L * np.arange(n_blocks + 1) + np.arange(2 * L)[:, None], 2 * n_steps)
     a, p, s, d = hamiltonian_entries(schedule, grid)
     t_bad = grid[~(np.isfinite(a) & np.isfinite(p) & np.isfinite(s) & np.isfinite(d))]
     if t_bad.size:
@@ -122,7 +124,8 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
     # classical RK4 on all block propagators at once: rows is (3, 3, n_blocks),
     # and stage gives -i H x at sample m (start, middle, end) of step j
     def stage(m, j, x1, x2, x3):
-        h11, h12, h32, h33 = (x[2 * j + m] for x in (a, p, s, d))
+        c, r = divmod(2 * j + m, 2 * L)
+        h11, h12, h32, h33 = (x[r, c:c + n_blocks] for x in (a, p, s, d))
         return (-1j * (h11 * x1 + h12 * x2),
                 -1j * (h12.conjugate() * x1 + h32.conjugate() * x3),
                 -1j * (h32 * x2 + h33 * x3))

@@ -41,8 +41,8 @@ _GENERAL_TRAJECTORY_CELLS = 4096
 _REDUCED_ALPHA = np.pi / 4       # the reduced invariant's constant alpha
 _OMEGA_T_MAX = 2000.0 * np.pi    # largest calibrated omega*T or A's bracket end
 _BOUND_MARGIN = 1e-6             # quadrature allowance of the omega*T bracket
-_OMEGA_T_TOL = 1e-6              # bracket width at which the omega*T bisection stops
-_KAPPA_TOL = 1e-8                # bracket width at which the kappa bisection stops
+_OMEGA_T_TOL = 1e-6              # find_root tol: omega*T within 5e-7 of a sign change
+_KAPPA_TOL = 1e-8                # find_root tol: kappa within 5e-9 of a sign change
 # the column names of a schedule file, in the order write_csv writes them
 _SCHEDULE_COLUMNS = ("t", "re_omega_p", "im_omega_p", "re_omega_s", "im_omega_s",
                      "delta")
@@ -485,10 +485,10 @@ def solve_omega_T_for_A(A: float) -> CalibrationResult:
     inner root; below that, eps(u) <= u < pi. For A <= 0.8,
     I <= 9 A^2/64 (as sin(x)^2 <= x^2) and C1(A) <= 8.07 A^2, so
     4 I C1(A) <= 1.9 < pi^2: the discriminant is positive and the inner root
-    is below 1.74. g is bisected on [lo, hi] once, and iterations counts the
-    quadratures of g, the bracket ends included. The bracket is 0.12 wide at
-    A = 0.2 and 3.3 at A = 0.8. A bracket that ends past _OMEGA_T_MAX
-    raises CalibrationError.
+    is below 1.74. find_root searches [lo, hi] once, and iterations counts
+    the quadratures of g, the bracket ends included. The bracket is 0.12
+    wide at A = 0.2 and 3.3 at A = 0.8. A bracket that ends past
+    _OMEGA_T_MAX raises CalibrationError.
 
     I = int_0^1 m(f(s)) ds, with f the window and m(f) the carrier mean of
     S(f, theta) = sin(f cos(theta)^2)^2 (_carrier_mean_sin2). Here
@@ -534,7 +534,7 @@ def solve_omega_T_for_A(A: float) -> CalibrationResult:
         beta = _beta_a(*window, u)[0]
         return u * integrate(lambda s: np.sin(beta(s)) ** 2, 0.0, 1.0, n_cells)
 
-    # cached: the residual re-evaluates find_root's last midpoint, and the
+    # cached: the residual re-evaluates the root find_root returns, and the
     # cache size counts the quadratures
     g = functools.cache(lambda u: eps_total(u) - np.pi)
     root, _ = find_root(g, Bracket(lo, hi), tol=_OMEGA_T_TOL)

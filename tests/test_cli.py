@@ -66,7 +66,7 @@ class TestUsageErrors:
         assert "--samples-per-period" in capsys.readouterr().out
 
     def test_no_tol_flag(self, tmp_path, capsys):
-        # the calibrations bisect to fixed widths; --tol is not an option
+        # the calibrations solve to fixed tolerances; --tol is not an option
         out = tmp_path / "t.csv"
         assert main(["tables", "--which", "II", "--out", str(out),
                      "--tol", "1e-6"]) == EXIT_VALIDATION

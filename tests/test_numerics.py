@@ -7,10 +7,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrpulse
 from lrpulse.numerics import (_GL_NODES, _GL_WEIGHTS, Bracket, RunningIntegral,
                               central_diff, find_root, integrate)
+
+
+def loaded_by_cli_import(module):
+    """'True' or 'False': whether `import lrpulse.cli` in a fresh interpreter
+    loads module."""
+    src = str(Path(lrpulse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, lrpulse.cli; "
+         f"print({module!r} in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
 
 
 class TestFindRoot:
@@ -39,6 +54,50 @@ class TestFindRoot:
             f = lambda x: (x - r) * (x ** 2 + 1.0)
             root, _ = find_root(f, Bracket(-3.0, 3.0), tol=1e-10)
             assert abs(root - r) < 1e-9
+
+    def test_signs_survive_underflow(self):
+        # products of f values this small underflow to zero; signs do not
+        root, _ = find_root(lambda x: 1e-200 * (x - 0.3), Bracket(0.0, 1.0),
+                            tol=1e-9)
+        assert abs(root - 0.3) <= 5e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.floats(-2.5, 2.5), m=st.floats(-2.0, 2.0),
+           a=st.floats(0.0, 2.0), b=st.floats(0.1, 2.0),
+           sign=st.sampled_from([-1.0, 1.0]), log_tol=st.floats(-10.0, -2.0))
+    def test_monotone_cubic_root_within_half_tol(self, r, m, a, b, sign, log_tol):
+        # f(root - tol/2) and f(root + tol/2) straddle zero, as for the
+        # midpoint of a bisection bracket tol wide
+        c = -(a * (r - m) ** 3 + b * (r - m))
+        f = lambda x: sign * (a * (x - m) ** 3 + b * (x - m) + c)
+        tol = 10.0 ** log_tol
+        root, _ = find_root(f, Bracket(-3.0, 3.0), tol=tol)
+        assert f(root - 0.5 * tol) * f(root + 0.5 * tol) <= 0.0
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-12])
+    def test_step_function_falls_back_to_bisection(self, tol):
+        # interpolation on f = sign(x - r) never beats bisection, which must
+        # still reach tol/2 in the steps it alone would take
+        rng = np.random.default_rng(3)
+        for r in rng.uniform(-2.9, 2.9, 50):
+            root, iters = find_root(lambda x: np.sign(x - r), Bracket(-3.0, 3.0),
+                                    tol=tol)
+            assert abs(root - r) <= 0.5 * tol
+            assert iters <= np.ceil(np.log2(2.0 * 6.0 / tol))
+
+    def test_smooth_cubic_converges_superlinearly(self):
+        # bisection would take 37 evaluations to tol = 1e-10 on [-3, 3]; the
+        # cubics above are no test of this, as the secant through their
+        # bracket ends meets zero at r itself
+        rng = np.random.default_rng(8)
+        for r in rng.uniform(-2.0, 2.0, 50):
+            f = lambda x: x ** 3 + x - (r ** 3 + r)
+            root, iters = find_root(f, Bracket(-3.0, 3.0), tol=1e-10)
+            assert abs(root - r) <= 1e-10 and iters <= 12
+
+    def test_cli_import_does_not_load_scipy(self):
+        # find_root is written on numpy and the standard library alone
+        assert loaded_by_cli_import("scipy") == "False"
 
 
 class TestIntegrate:
@@ -128,11 +187,4 @@ class TestGaussLegendreTable:
         assert np.array_equal(_GL_WEIGHTS, weights)
 
     def test_cli_import_does_not_load_numpy_polynomial(self):
-        src = str(Path(lrpulse.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys, lrpulse.cli; "
-             "print('numpy.polynomial' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert loaded_by_cli_import("numpy.polynomial") == "False"
