@@ -48,10 +48,11 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
     Returns (root, iterations), iterations counting the evaluations of f
     inside the bracket. The root is the end with the smaller |f| of a bracket
     at most tol/2 wide, or an exact zero, so it lies within tol/2 of a sign
-    change of f.
+    change of f; tol must be at least 4 ulps of the bracket ends.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a positive finite number")
+    ulp = np.spacing(max(abs(bracket.lo), abs(bracket.hi)))
+    if not (np.isfinite(tol) and tol >= 4.0 * ulp):
+        raise ValueError(f"tol must be finite and at least 4 ulps, {4.0 * ulp:.3g}")
     a, b = bracket.lo, bracket.hi
     fa, fb = f(a), f(b)
     if fa == 0.0:

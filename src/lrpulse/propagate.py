@@ -6,8 +6,10 @@ integration; norm drift is reported as an integrator-health diagnostic.
 RK4 runs on the propagators of all step blocks at once, so record_stride
 moves the states only at round-off (<= 1e-13); identical configurations
 still give bit-identical outputs. H is sampled once, in the layout the blocks
-read, and one stage function gives -i H x to all four RK4 stages; the
-analytic comparisons start at the run's first state and time.
+read, and one stage function gives H x to all four RK4 stages. Where pump and
+Stokes agree in value, RK4 runs on the dark state (|1> - |3>)/sqrt2 and the
+bright block apart (Morris-Shore); the blocks between records are folded, and
+only records chained. The analytic comparisons start at the run's first state.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import analytic_evolution, hamiltonian_entries, is_normalized
+from .core import SQRT2, analytic_evolution, hamiltonian_entries, is_normalized
 from .errors import PropagationError
 from .synthesis import TWO_PI, PulseSchedule
 
@@ -105,7 +107,7 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
     dt = (t1 - t0) / n_steps
     stride = cfg.record_stride or max(1, cfg.steps_per_carrier_period // 10)
     # blocks of L steps, L the largest divisor of stride up to sqrt(n_steps)/8:
-    # that balances the L passes of array RK4 against the n_steps/L chain steps
+    # that balances the L passes of array RK4 against folding n_steps/L blocks
     L = max(k for k in range(1, min(stride, isqrt(n_steps // 64) or 1) + 1)
             if stride % k == 0)
 
@@ -121,32 +123,53 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
     if t_bad.size:
         raise PropagationError(f"non-finite Hamiltonian sample at t={float(t_bad.min())}")
 
-    # classical RK4 on all block propagators at once: rows is (3, 3, n_blocks),
-    # and stage gives -i H x at sample m (start, middle, end) of step j
-    def stage(m, j, x1, x2, x3):
+    # H in a constant real basis V as diagonal blocks of entries (i, j, samples).
+    # If pump and Stokes agree, V is |+>, |2>, |-> with |+-> = (|1> +- |3>)/sqrt2:
+    # |-> is an eigenvector and |+>, |2> couple by sqrt2*h12 (Morris-Shore)
+    if np.array_equal(p, s) and np.array_equal(a, d):
+        V = np.array([[1, 0, 1], [0, SQRT2, 0], [1, 0, -1]]) / SQRT2
+        p = s = SQRT2 * p   # s too: the unscaled samples are freed
+        layout = [(slice(0, 2), [(0, 0, a), (0, 1, p), (1, 0, p.conj())]),
+                  (slice(2, 3), [(0, 0, a)])]
+    else:
+        V = np.eye(3)
+        layout = [(slice(0, 3), [(0, 0, a), (0, 1, p), (1, 0, p.conj()),
+                                 (1, 2, s.conj()), (2, 1, s), (2, 2, d)])]
+
+    # classical RK4 on all propagators of a block at once, rows (n, n, n_blocks);
+    # stage gives H x at sample m (start, middle, end) of step j, -i is in the steps
+    def stage(entries, m, j, rows):
         c, r = divmod(2 * j + m, 2 * L)
-        h11, h12, h32, h33 = (x[r, c:c + n_blocks] for x in (a, p, s, d))
-        return (-1j * (h11 * x1 + h12 * x2),
-                -1j * (h12.conjugate() * x1 + h32.conjugate() * x3),
-                -1j * (h32 * x2 + h33 * x3))
+        out = [None] * len(rows)
+        for i, k, h in entries:
+            y = h[r, c:c + n_blocks] * rows[k]
+            out[i] = y if out[i] is None else out[i] + y
+        return out
 
-    rows = np.repeat(np.eye(3, dtype=complex)[:, :, None], n_blocks, 2)
-    half, sixth = 0.5 * dt, dt / 6.0
-    for j in range(L):
-        k1 = stage(0, j, *rows)
-        k2 = stage(1, j, *(c + half * k for c, k in zip(rows, k1)))
-        k3 = stage(1, j, *(c + half * k for c, k in zip(rows, k2)))
-        k4 = stage(2, j, *(c + dt * k for c, k in zip(rows, k3)))
-        live = -(-(n_steps - j) // L)   # the blocks b with a step bL + j
-        for c, y1, y2, y3, y4 in zip(rows[..., :live], k1, k2, k3, k4):
-            c += (sixth * (y1 + 2 * y2 + 2 * y3 + y4))[:, :live]
+    U = np.repeat(np.eye(3, dtype=complex)[:, :, None], n_blocks, 2)
+    half, full, sixth = -0.5j * dt, -1j * dt, -1j * dt / 6.0
+    for block, entries in layout:
+        rows = U[block, block]
+        for j in range(L):
+            k1 = stage(entries, 0, j, rows)
+            k2 = stage(entries, 1, j, [c + half * k for c, k in zip(rows, k1)])
+            k3 = stage(entries, 1, j, [c + half * k for c, k in zip(rows, k2)])
+            k4 = stage(entries, 2, j, [c + full * k for c, k in zip(rows, k3)])
+            live = -(-(n_steps - j) // L)   # the blocks b with a step bL + j
+            for c, y1, y2, y3, y4 in zip(rows[..., :live], k1, k2, k3, k4):
+                c += (sixth * (y1 + 2 * y2 + 2 * y3 + y4))[:, :live]
 
-    # chain the block ends; records fall on every (stride/L)-th and the last
-    states = [psi0]
-    for u in rows.transpose(2, 0, 1):
+    # fold the m = stride/L blocks between records in place, the short last
+    # run too, and chain the runs in the basis V; records fall on run ends
+    m, U = stride // L, U.transpose(2, 0, 1)
+    runs = U[::m]
+    for u in (U[k::m] for k in range(1, m)):
+        runs[:len(u)] = u @ runs[:len(u)]
+    states = [V.T @ psi0]
+    for u in runs:
         states.append(u @ states[-1])
-    keep = np.r_[0:n_blocks:stride // L, n_blocks]
-    states = np.array(states)[keep]
+    states = np.array(states) @ V.T
+    keep = np.r_[0:n_blocks:m, n_blocks]
     times = t0 + np.minimum(keep * L, n_steps) * dt
     pops = np.abs(states) ** 2
     norms = np.sqrt(pops.sum(axis=1))

@@ -569,14 +569,15 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
             / (2.0 * SQRT2 * np.cos(omega * t))
 
     def envelope(t):
+        t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             val = np.asarray(raw(t), dtype=complex)
         tn = _nearest_carrier_zero(omega, t)
         inside = (np.abs(t - tn) < delta_t) & (tn > 0.0) & (tn < T)
-        if np.any(inside):
+        if np.any(inside):   # the patch ends are evaluated inside patches only
+            t, tn = t[inside], tn[inside]
             lo, hi = raw(tn - delta_t), raw(tn + delta_t)
-            interp = lo + (hi - lo) / (2.0 * delta_t) * (t - tn + delta_t)
-            val = np.where(inside, interp, val)
+            val[inside] = lo + (hi - lo) / (2.0 * delta_t) * (t - tn + delta_t)
         if neglect_imag:
             val = val.real.astype(complex)
         return val

@@ -47,6 +47,20 @@ class TestFindRoot:
             with pytest.raises(ValueError):
                 find_root(np.cos, Bracket(1.0, 2.0), tol=tol)
 
+    def test_sub_ulp_tol_rejected_up_front(self):
+        # below 4 ulps of the bracket ends the least step, tol/4, leaves the
+        # estimate where it is; this call once spent 202 evaluations of f
+        # before it raised ConvergenceError
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.cos(x)
+
+        with pytest.raises(ValueError, match="tol must be"):
+            find_root(f, Bracket(1.0, 2.0), tol=1e-17)
+        assert len(calls) <= 2
+
     def test_random_cubics(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
