@@ -23,7 +23,7 @@ from .synthesis import (PulseSchedule, calibrate_strategy_c, load_schedule_csv,
                         solve_omega_T_for_A, solve_omega_T_for_B, strategy_a,
                         strategy_b, strategy_c)
 from .verify import run_verification
-from .core import ket
+from .core import _sample, ket
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -183,8 +183,8 @@ def build_schedule(args) -> tuple[PulseSchedule, dict, float, str]:
 
 def _envelope_summary(schedule: PulseSchedule) -> dict:
     ts = schedule.sample_times(400)
-    op = np.asarray(schedule.Omega_p(ts), dtype=complex)
-    dd = np.asarray(schedule.Delta_p(ts), dtype=float)
+    (op, _, dd, _), _ = _sample(schedule, ts)   # each sampler called once
+    op, dd = np.asarray(op, dtype=complex), np.asarray(dd, dtype=float)
     return {
         "max_abs_omega_p": float(np.max(np.abs(op))),
         "max_re_omega_p": float(np.max(op.real)),

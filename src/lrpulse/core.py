@@ -21,6 +21,7 @@ SQRT2 = np.sqrt(2.0)
 
 _TINY = 1e-12
 _NORM_TOL = 1e-9
+_CHUNK = 8192   # flat times per sampling pass: its temporaries stay in cache
 
 
 def ket(j: int) -> np.ndarray:
@@ -68,6 +69,33 @@ def _check_in_window(window, name: str, t) -> None:
                           f"t in [{float(t.min())}, {float(t.max())}]")
 
 
+class _View:
+    """Output index (0 envelope, 1 detuning) of sampler, a function of float
+    times t returning (envelope, detuning, cos(omega*t)) from shared trig."""
+
+    def __init__(self, sampler, index: int, omega: float):
+        self.sampler, self.index, self.omega = sampler, index, omega
+
+    def __call__(self, t):
+        return self.sampler(np.asarray(t, dtype=float))[self.index]
+
+
+def _sample(schedule, t):
+    """(Omega_p, Omega_s, Delta_p, Delta_s) at times t, and cos(omega*t) if a
+    sampler on the schedule's omega gave it. Each distinct sampler or closure
+    is called once; a view is a _View by type, so a wrapper of one is called."""
+    calls, samples, carrier = {}, [], None
+    for fn in (schedule.Omega_p, schedule.Omega_s, schedule.Delta_p, schedule.Delta_s):
+        view = isinstance(fn, _View)
+        key = id(fn.sampler if view else fn)
+        if key not in calls:
+            calls[key] = fn.sampler(t) if view else fn(t)
+        if view and fn.omega == schedule.omega:
+            carrier = calls[key][2]
+        samples.append(calls[key][fn.index] if view else calls[key])
+    return samples, carrier
+
+
 def hamiltonian_entries(schedule, t):
     """Nonzero entries (h11, h12, h32, h33) of the full (non-RWA) Hamiltonian
     at scalar or array times t, hbar = 1:
@@ -78,20 +106,25 @@ def hamiltonian_entries(schedule, t):
     -omega - Delta. The energy reference is <2|H|2> = 0: every phase derived
     from H, such as the invariant-branch phases, is relative to it. Times
     beyond the schedule window (widened by a relative 1e-9) raise DomainError.
-    Pump and Stokes share the carrier. A closure they share is evaluated
-    once, and only this function looks for one: h32 is h12 when Omega_s is
-    Omega_p, and h33 is h11 when Delta_s is Delta_p.
+    The fields are sampled by _sample's rule, _CHUNK flat times at a time,
+    into entries of t's shape (scalar samples broadcast). A field pump and
+    Stokes share gives one entry: h32 is h12, or h33 is h11.
     """
-    t = np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype=float, order="C")   # so t.reshape(-1) is a view
     _check_in_window(schedule, "schedule domain", t)
-    h12 = np.asarray(schedule.Omega_p(t), dtype=complex)
-    carrier = np.cos(schedule.omega * t)   # sampled after Omega_p: lower peak memory
-    h12 = h12 * carrier
-    h32 = (h12 if schedule.Omega_s is schedule.Omega_p
-           else np.asarray(schedule.Omega_s(t), dtype=complex) * carrier)
-    h11 = -schedule.omega - np.asarray(schedule.Delta_p(t), dtype=float)
-    h33 = (h11 if schedule.Delta_s is schedule.Delta_p
-           else -schedule.omega - np.asarray(schedule.Delta_s(t), dtype=float))
+    h11, h12 = np.empty(t.shape), np.empty(t.shape, dtype=complex)
+    h32 = h12 if schedule.Omega_s is schedule.Omega_p else np.empty_like(h12)
+    h33 = h11 if schedule.Delta_s is schedule.Delta_p else np.empty_like(h11)
+    for lo in range(0, t.size, _CHUNK):
+        tc = t.reshape(-1)[lo:lo + _CHUNK]
+        (op, os_, dp, ds), carrier = _sample(schedule, tc)
+        carrier = np.cos(schedule.omega * tc) if carrier is None else carrier
+        np.multiply(op, carrier, out=h12.reshape(-1)[lo:lo + _CHUNK])
+        np.subtract(-schedule.omega, dp, out=h11.reshape(-1)[lo:lo + _CHUNK])
+        if h32 is not h12:
+            np.multiply(os_, carrier, out=h32.reshape(-1)[lo:lo + _CHUNK])
+        if h33 is not h11:
+            np.subtract(-schedule.omega, ds, out=h33.reshape(-1)[lo:lo + _CHUNK])
     return h11, h12, h32, h33
 
 

@@ -119,14 +119,15 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
     grid = t0 + 0.5 * dt * np.minimum(
         2 * L * np.arange(n_blocks + 1) + np.arange(2 * L)[:, None], 2 * n_steps)
     a, p, s, d = hamiltonian_entries(schedule, grid)
-    t_bad = grid[~(np.isfinite(a) & np.isfinite(p) & np.isfinite(s) & np.isfinite(d))]
+    t_bad = grid[~np.logical_and.reduce(   # one finiteness test per distinct array
+        [np.isfinite(x) for x in {id(x): x for x in (a, p, s, d)}.values()])]
     if t_bad.size:
         raise PropagationError(f"non-finite Hamiltonian sample at t={float(t_bad.min())}")
 
     # H in a constant real basis V as diagonal blocks of entries (i, j, samples).
     # If pump and Stokes agree, V is |+>, |2>, |-> with |+-> = (|1> +- |3>)/sqrt2:
     # |-> is an eigenvector and |+>, |2> couple by sqrt2*h12 (Morris-Shore)
-    if np.array_equal(p, s) and np.array_equal(a, d):
+    if (p is s or np.array_equal(p, s)) and (a is d or np.array_equal(a, d)):
         V = np.array([[1, 0, 1], [0, SQRT2, 0], [1, 0, -1]]) / SQRT2
         p = s = SQRT2 * p   # s too: the unscaled samples are freed
         layout = [(slice(0, 2), [(0, 0, a), (0, 1, p), (1, 0, p.conj())]),

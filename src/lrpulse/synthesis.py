@@ -5,9 +5,9 @@ A trajectory fixes the invariant's angles over time; synthesize_general then
 yields the complex pump/Stokes envelopes and detunings that make the invariant
 exact. Strategies A, B and C share one reduced invariant (alpha = pi/4,
 lambda = 0, theta_dot = -omega): a strategy is a mixing angle beta, its
-derivative beta_dot and an envelope kept regular at the carrier zeros, and
-_reduced_schedule derives the rest from beta: epsilon_dot = omega*sin(beta)^2,
-the detuning Delta = -2*epsilon_dot, and pump = Stokes = envelope. Strategy A
+derivative beta_dot and one sampler giving, from shared sines and cosines, the
+envelope (regular at the carrier zeros), Delta = -2*omega*sin(beta)^2 and
+cos(omega*t); pump and Stokes hold views of it (_reduced_schedule). Strategy A
 multiplies a smooth window by the squared carrier and evaluates the quotient
 in factored form; B takes the window alone and patches the singular quotient
 linearly around each carrier zero; C picks the envelope's real part first and
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AuxParams, SQRT2, lr_phase_rate
+from .core import AuxParams, SQRT2, _sample, _View, lr_phase_rate
 from .errors import CalibrationError, SynthesisError
 from .numerics import (Bracket, RunningIntegral, central_diff, find_root,
                        integrate)
@@ -165,7 +165,8 @@ class PulseSchedule:
     """Evaluable complex envelopes and detunings on one carrier frequency.
 
     Pump and Stokes share the carrier omega; envelopes and detunings are
-    callables of scalar or array times.
+    callables of scalar or array times. A strategy's are views of its sampler,
+    called once per chunk by core._sample's rule; a replaced field is called.
     """
 
     omega: float
@@ -205,10 +206,10 @@ class PulseSchedule:
         pump and Stokes detunings, which the one delta column cannot hold.
         """
         ts = self.sample_times(samples_per_period)
-        op = np.asarray(self.Omega_p(ts), dtype=complex)
-        os_ = np.asarray(self.Omega_s(ts), dtype=complex)
-        dd = np.asarray(self.Delta_p(ts), dtype=float)
-        if np.max(np.abs(self.Delta_s(ts) - dd)) > 1e-12 * self.omega:
+        (op, os_, dd, ds), _ = _sample(self, ts)   # core.hamiltonian_entries' rule
+        op, os_ = np.asarray(op, dtype=complex), np.asarray(os_, dtype=complex)
+        dd = np.asarray(dd, dtype=float)
+        if np.max(np.abs(ds - dd)) > 1e-12 * self.omega:
             raise ValueError("Stokes detuning differs from the pump detuning; "
                              "a schedule file holds one detuning column")
         np.savetxt(path, np.column_stack([ts / time_scale, op.real, op.imag,
@@ -380,12 +381,13 @@ def synthesize_general(aux: AuxiliaryTrajectory, omega: float) -> PulseSchedule:
 # ---------------------------------------------------------------------------
 
 def _reduced_schedule(strategy: str, params: dict, beta: Callable,
-                      beta_dot: Callable, envelope: Callable, omega: float,
+                      beta_dot: Callable, sampler: Callable, omega: float,
                       t_start: float, t_end: float) -> PulseSchedule:
-    """Schedule of the reduced trajectory of beta: pump and Stokes get one
-    envelope closure and one detuning closure, Delta = -2 epsilon_dot."""
+    """Schedule of the reduced trajectory of beta. sampler maps float times to
+    (envelope, Delta = -2 epsilon_dot, cos(omega*t)) from shared trig; pump
+    and Stokes get one view of the envelope and one of the detuning."""
     traj = reduced_trajectory(beta, beta_dot, omega, t_start, t_end)
-    delta = lambda t: -2.0 * traj.epsilon_dot(t)
+    envelope, delta = _View(sampler, 0, omega), _View(sampler, 1, omega)
     return PulseSchedule(
         omega=omega, Omega_p=envelope, Omega_s=envelope,
         Delta_p=delta, Delta_s=delta, t_start=t_start, t_end=t_end,
@@ -427,18 +429,22 @@ def strategy_a(A: float, omega: float, T: float) -> PulseSchedule:
     if omega <= 0 or T <= 0:
         raise ValueError("omega and T must be positive")
 
-    def envelope(t):
-        c = np.cos(omega * t)
-        s = np.sin(omega * t)
-        fv = f(t)
+    def sample(t):   # six sines and cosines a time: omega*t, 2*pi*t/T and beta
+        c, s = np.cos(omega * t), np.sin(omega * t)
+        cw, sw = np.cos(TWO_PI * t / T), np.sin(TWO_PI * t / T)
+        fv = 0.5 * A * (1.0 - cw)   # the window f; its derivative is pi*A/T*sw
+        b = fv * c ** 2
+        sb, cb = np.sin(b), np.cos(b)
         # beta_dot / cos and sin(2*beta) / cos, both regular: beta carries a
-        # cos^2 factor, and sin(2b)/(2b) is evaluated as a cardinal sine.
-        bdot_over_c = fdot(t) * c - 2.0 * fv * omega * s
-        s2b_over_c = 2.0 * fv * c * np.sinc(2.0 * fv * c * c / np.pi)
-        return -(2j * bdot_over_c + omega * s2b_over_c) / (2.0 * SQRT2)
+        # cos^2 factor, and sin(2b)/(2b) = sin(b)cos(b)/b is 1 at b = 0
+        bdot_over_c = (np.pi * A / T) * sw * c - 2.0 * fv * omega * s
+        s2b_over_c = 2.0 * fv * c * np.divide(sb * cb, b, out=np.ones_like(b),
+                                              where=b != 0.0)
+        envelope = -omega / (2.0 * SQRT2) * s2b_over_c - 1j / SQRT2 * bdot_over_c
+        return envelope, -2.0 * omega * sb ** 2, c
 
     return _reduced_schedule("a", {"A": A, "omega_T": omega * T},
-                             *_beta_a(f, fdot, omega), envelope, omega, 0.0, T)
+                             *_beta_a(f, fdot, omega), sample, omega, 0.0, T)
 
 
 def _bessel_j0(z):
@@ -563,29 +569,28 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
                          "overlaps adjacent singular points")
     singulars = carrier_singular_times(omega, 0.0, T)
 
-    def raw(t):
-        b = f(t)
-        return -(2j * fdot(t) + omega * np.sin(2 * b)) \
-            / (2.0 * SQRT2 * np.cos(omega * t))
+    def quotient(t, fv, c):   # the envelope, singular at the carrier zeros
+        return -(2j * fdot(t) + omega * np.sin(2 * fv)) / (2.0 * SQRT2 * c)
 
-    def envelope(t):
-        t = np.asarray(t, dtype=float)
+    def sample(t):   # the window f and cos(omega*t) once a time
+        fv, c = f(t), np.cos(omega * t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.asarray(raw(t), dtype=complex)
+            val = np.asarray(quotient(t, fv, c), dtype=complex)
         tn = _nearest_carrier_zero(omega, t)
         inside = (np.abs(t - tn) < delta_t) & (tn > 0.0) & (tn < T)
         if np.any(inside):   # the patch ends are evaluated inside patches only
-            t, tn = t[inside], tn[inside]
+            raw = lambda u: quotient(u, f(u), np.cos(omega * u))
+            t_in, tn = t[inside], tn[inside]
             lo, hi = raw(tn - delta_t), raw(tn + delta_t)
-            val[inside] = lo + (hi - lo) / (2.0 * delta_t) * (t - tn + delta_t)
+            val[inside] = lo + (hi - lo) / (2.0 * delta_t) * (t_in - tn + delta_t)
         if neglect_imag:
             val = val.real.astype(complex)
-        return val
+        return val, -2.0 * omega * np.sin(fv) ** 2, c
 
     return _reduced_schedule(
         "b", {"B": B, "omega_T": omega * T, "delta_t_over_T": delta_t / T,
               "neglect_imag": neglect_imag, "singular_times": singulars.tolist()},
-        f, fdot, envelope, omega, 0.0, T)
+        f, fdot, sample, omega, 0.0, T)
 
 
 def solve_omega_T_for_B(B: float) -> CalibrationResult:
@@ -638,16 +643,17 @@ def strategy_c(Omega0: float, omega: float, n_periods: int) -> PulseSchedule:
     t_start = 0.5 * np.pi / omega
     t_end = t_start + n_periods * TWO_PI / omega
 
-    def envelope(t):
-        c = np.cos(omega * t)
-        s = np.sin(omega * t)
-        om_r = Omega0 * c ** 3
-        om_i = -4.0 * Omega0 * c ** 2 * s / np.sqrt(1.0 - 8.0 * kappa ** 2 * c ** 8)
-        return om_r + 1j * om_i
+    def sample(t):
+        c, s = np.cos(omega * t), np.sin(omega * t)
+        # x = sin(2 beta)^2: Delta = -omega x/(1 + sqrt(1 - x)) does not cancel
+        x = 8.0 * kappa ** 2 * c ** 8
+        root = np.sqrt(1.0 - x)
+        envelope = Omega0 * c * c * c + 1j * (-4.0 * Omega0 * c * c * s / root)
+        return envelope, -omega * x / (1.0 + root), c
 
     return _reduced_schedule(
         "c", {"Omega0_over_omega": kappa, "n_periods": int(n_periods)},
-        *_beta_c(kappa, omega), envelope, omega, t_start, t_end)
+        *_beta_c(kappa, omega), sample, omega, t_start, t_end)
 
 
 def delta_epsilon_per_period(Omega0_over_omega: float) -> float:

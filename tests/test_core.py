@@ -1,6 +1,7 @@
 """Tests for the Hamiltonian, invariant, eigenstructure, and phase helpers."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from lrpulse import (AuxParams, PulseSchedule, analytic_evolution,
                      final_state_prediction, hamiltonian_at,
                      invariance_residual, invariant_at, invariant_eigenvectors,
-                     ket, lr_phase_rate, strategy_c)
-from lrpulse.core import hamiltonian_entries
+                     ket, lr_phase_rate, strategy_a, strategy_b, strategy_c)
+from lrpulse.core import _CHUNK, hamiltonian_entries
 from lrpulse.errors import DomainError, SingularityError
 from lrpulse.verify import lr_phase_rates_numeric
 
@@ -90,6 +91,66 @@ class TestHamiltonian:
         assert got[2] is got[1] and got[3] is got[0]
         for x, y in zip(got, hamiltonian_entries(apart, ts)):
             assert np.array_equal(x, y)
+
+
+class TestSamplingRule:
+    # strategies hand pump and Stokes views of one sampler; hamiltonian_entries
+    # calls it once a chunk, and calls every closure that is not a view
+    SCHEDULES = {"a": lambda: strategy_a(0.5, 30.0 * np.pi, 1.0),
+                 "b": lambda: strategy_b(0.5, 11.34 * np.pi, 1.0, 0.01),
+                 "c": lambda: strategy_c(0.3, 1.0, 2)}
+
+    @pytest.mark.parametrize("strategy", SCHEDULES)
+    def test_chunks_equal_one_evaluation(self, strategy):
+        # a 2-D grid of three full chunks and a partial fourth
+        sch = self.SCHEDULES[strategy]()
+        n = 3 * _CHUNK + 123
+        t = np.linspace(sch.t_start, sch.t_end, n).reshape(3, n // 3)
+        envelope, detuning, carrier = sch.Omega_p.sampler(t.ravel())
+        h11, h12, h32, h33 = hamiltonian_entries(sch, t)
+        assert h12.shape == h11.shape == t.shape
+        assert np.max(np.abs(h12.ravel() - envelope * carrier)) <= 1e-15 * sch.omega
+        assert np.max(np.abs(h11.ravel() + sch.omega + detuning)) \
+            <= 1e-15 * sch.omega
+        assert h32 is h12 and h33 is h11
+
+    def test_replaced_closure_is_sampled(self):
+        sch = strategy_a(0.5, 30.0 * np.pi, 1.0)
+        t = np.linspace(0.0, 1.0, 2001)
+        g = lambda u: (0.5 - 0.25j) * sch.Omega_p(u)
+        h11, h12, h32, h33 = hamiltonian_entries(
+            dataclasses.replace(sch, Omega_p=g), t)
+        r11, r12, _, _ = hamiltonian_entries(sch, t)
+        assert np.max(np.abs(h12 - g(t) * np.cos(sch.omega * t))) <= 1e-15 * sch.omega
+        assert h32 is not h12 and np.array_equal(h32, r12)
+        assert h33 is h11 and np.array_equal(h11, r11)
+
+    def test_replaced_carrier_is_not_taken_from_the_sampler(self):
+        sch = strategy_c(0.3, 1.0, 2)
+        moved = dataclasses.replace(sch, omega=1.5)
+        t = sch.sample_times(50)
+        h11, h12, _, _ = hamiltonian_entries(moved, t)
+        assert np.array_equal(h12, sch.Omega_p(t) * np.cos(1.5 * t))
+        assert np.array_equal(h11, -1.5 - sch.Delta_p(t))
+
+    def test_wrapper_of_a_view_is_called(self):
+        # functools.wraps copies the view's attributes onto the wrapper, so
+        # only the view's type tells the two apart
+        sch = strategy_c(0.3, 1.0, 2)
+        view, calls = sch.Omega_p, []
+
+        @functools.wraps(view)
+        def doubled(t):
+            calls.append(np.size(t))
+            return 2.0 * view(t)
+
+        assert doubled.sampler is view.sampler
+        t = sch.sample_times(50)
+        h11, h12, h32, _ = hamiltonian_entries(
+            dataclasses.replace(sch, Omega_p=doubled, Omega_s=doubled), t)
+        assert calls == [t.size] and h32 is h12
+        ref = hamiltonian_entries(sch, t)[1]
+        assert np.max(np.abs(h12 - 2.0 * ref)) <= 1e-15 * sch.omega
 
 
 class TestInvariant:

@@ -138,6 +138,24 @@ class TestPropagate:
         assert report.max_p2 == pytest.approx(1.0)
 
 
+def test_scalar_closures_broadcast():
+    # closures that return one scalar for array times run bit for bit like
+    # closures that return it at every time
+    def schedule(closure):
+        return PulseSchedule(
+            omega=10.0, Omega_p=closure(0.3 + 0.1j), Omega_s=closure(0.2 - 0.05j),
+            Delta_p=closure(-0.4), Delta_s=closure(-0.4), t_start=0.0, t_end=1.0,
+            strategy="test")
+
+    cfg = PropagationConfig(steps_per_carrier_period=100, record_states=True)
+    scalar = propagate(schedule(lambda v: lambda t: v), ket(1), cfg)
+    full = propagate(schedule(lambda v: lambda t: np.full(np.shape(t), v)),
+                     ket(1), cfg)
+    assert np.array_equal(scalar.times, full.times)
+    assert np.array_equal(scalar.states, full.states)
+    assert np.array_equal(scalar.norms, full.norms)
+
+
 def scalar_rk4(schedule, psi0, cfg):
     """Reference: one Python iteration per RK4 step on scalar amplitudes,
     recording every record_stride steps and after the last. Returns

@@ -11,7 +11,7 @@ from lrpulse import (calibrate_strategy_c, carrier_singular_times,
                      solve_omega_T_for_A, solve_omega_T_for_B, strategy_a,
                      strategy_b, strategy_c, synthesize_general)
 from lrpulse import compare_with_analytic, ket, run_verification, synthesis
-from lrpulse.core import lr_phase_rate
+from lrpulse.core import SQRT2, hamiltonian_entries, lr_phase_rate
 from lrpulse.errors import CalibrationError, SynthesisError
 from lrpulse.numerics import Bracket, find_root, integrate
 from lrpulse.synthesis import (KAPPA_SUP, _bessel_j0, _carrier_mean_sin2,
@@ -579,6 +579,46 @@ class TestCalibration:
     def test_non_finite_inputs(self, bad):
         with pytest.raises(ValueError, match="target delta epsilon"):
             calibrate_strategy_c(bad)
+
+
+def strategy_schedules(rng):
+    """Strategy a, b (complex and neglect_imag) and c schedules at random
+    parameters, c also within 1e-3 of KAPPA_SUP, with the times outside b's
+    patches."""
+    for _ in range(3):
+        T = rng.uniform(0.5, 2.0)
+        omega = rng.uniform(10.0, 120.0) * np.pi / T
+        t = np.linspace(0.0, T, 20001)
+        yield strategy_a(rng.uniform(0.05, 0.8), omega, T), t
+        delta_t = rng.uniform(0.05, 0.95) * 0.5 * np.pi / omega
+        tn = synthesis._nearest_carrier_zero(omega, t)
+        unpatched = t[(np.abs(t - tn) >= delta_t) | (tn <= 0.0) | (tn >= T)]
+        for neglect_imag in (False, True):
+            yield strategy_b(rng.uniform(0.05, 0.8), omega, T, delta_t,
+                             neglect_imag), unpatched
+        for kappa in (rng.uniform(0.0, KAPPA_SUP),
+                      KAPPA_SUP - rng.uniform(0.5e-3, 1e-3)):
+            omega = rng.uniform(0.5, 4.0)
+            sch = strategy_c(kappa * omega, omega, 3)
+            yield sch, np.linspace(sch.t_start, sch.t_end, 20001)
+
+
+class TestSamplers:
+    def test_entries_match_the_trajectory(self):
+        # each strategy's shared-trig sampler against the closed forms of
+        # its trajectory: h12 = -(2i beta_dot + omega sin(2 beta))/(2 sqrt2),
+        # real part only under neglect_imag, and h11 = -omega + 2 eps_dot
+        for sch, t in strategy_schedules(np.random.default_rng(21)):
+            traj, omega = sch.trajectory, sch.omega
+            h11, h12, h32, h33 = hamiltonian_entries(sch, t)
+            ref = -(2j * traj.beta_dot(t) + omega * np.sin(2.0 * traj.beta(t))) \
+                / (2.0 * SQRT2)
+            if sch.params.get("neglect_imag"):
+                ref = ref.real
+            assert np.max(np.abs(h12 - ref)) <= 1e-14 * omega
+            assert np.max(np.abs(h11 - (-omega + 2.0 * traj.epsilon_dot(t)))) \
+                <= 1e-14 * omega
+            assert h32 is h12 and h33 is h11
 
 
 class TestSampleTimes:
