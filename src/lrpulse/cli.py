@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,14 +33,6 @@ EXIT_IO = 3
 
 TABLE_I_PARAMS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 TABLE_II_PARAMS = (0.4, 0.5, 0.6, 0.7)
-
-DEFAULT_TARGET_DELTA_EPS = np.pi / 6
-
-# the strategies each schedule option applies to
-_STRATEGY_OPTIONS = {"A": "a", "B": "b", "delta_t_over_T": "b", "neglect_imag": "b",
-                     "T": "ab", "omega_T_over_pi": "ab", "omega": "c",
-                     "Omega0_over_omega": "c", "target_delta_epsilon": "c",
-                     "n_periods": "c"}
 
 
 def _atomic_write(path: str, writer) -> None:
@@ -65,7 +58,7 @@ def _write_json(path: str, obj: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# options: one table per command
 # ---------------------------------------------------------------------------
 
 def finite_float(text: str) -> float:
@@ -76,47 +69,106 @@ def finite_float(text: str) -> float:
     return value
 
 
-def _merge_config(args: argparse.Namespace,
-                  parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill unset options from the JSON config file, if one was given; a value
-    passes its flag's type (str if none) on str(value), a switch takes a bool.
-    A required flag is not a config key: it must be given on the command line."""
-    path = getattr(args, "config", None)
+class _Option(NamedTuple):
+    """A command option: flag --name (each _ as -), config key name. kind
+    parses its text: a function, a tuple of choices, or bool for a switch."""
+    name: str
+    kind: object = str
+    default: object = None
+    strategies: str = "abc"
+    help: str = ""
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+_TARGET = _Option("target_delta_epsilon", finite_float, np.pi / 6, "c",
+                  "per-period phase increment target")
+# in the order the applicability check reports them
+_STRATEGY = (
+    _Option("strategy", ("a", "b", "c"), help="pulse design strategy"),
+    _Option("A", finite_float, None, "a", "window amplitude"),
+    _Option("B", finite_float, None, "b", "window amplitude"),
+    _Option("delta_t_over_T", finite_float, 0.01, "b", "patch half-width over T"),
+    _Option("neglect_imag", bool, False, "b", "drop the imaginary envelope part"),
+    _Option("T", finite_float, 1.0, "ab", "schedule duration in seconds"),
+    _Option("omega_T_over_pi", finite_float, None, "ab", "omit to calibrate"),
+    _Option("omega", finite_float, 1.0, "c", "carrier frequency"),
+    _Option("Omega0_over_omega", finite_float, None, "c", "omit to calibrate"),
+    _TARGET,
+    _Option("n_periods", int, 6, "c", "carrier periods"),
+)
+_STEPS = _Option("steps_per_period", int, 2000, help="RK4 steps per carrier period")
+
+# command: (help, options); the handler is cmd_<command with - as _>
+_COMMANDS = {
+    "tables": ("write a calibration table as CSV", (
+        _Option("which", ("I", "II"), required=True, help="Table I or II"),
+        _Option("out", required=True, help="CSV path"))),
+    "synth": ("synthesize a pulse schedule CSV", _STRATEGY + (
+        _Option("out", required=True, help="schedule CSV path"),
+        _Option("summary", help="optional JSON summary path"),
+        _Option("samples_per_period", int, 200,
+                help="CSV samples per carrier period"))),
+    "simulate": ("synthesize, propagate, and report populations", _STRATEGY + (
+        _Option("out", help="population-trace CSV path"),
+        _Option("summary", help="JSON summary path"), _STEPS)),
+    "verify": ("run the self-check suites", _STRATEGY + (
+        _Option("schedule", help="also check the invariance residual of this "
+                "schedule CSV file at each of its interior rows"),
+        _Option("out", help="JSON report path"), _STEPS)),
+    "calibrate-c": ("solve the strategy-c amplitude ratio", (
+        _TARGET, _Option("out", help="JSON result path"))),
+}
+
+
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill unset options from the JSON config file, if one was given: a value
+    passes its option's kind (str for choices) on str(value), a switch takes a
+    bool, and a required flag is not a config key."""
+    path = args.config
     if not path:
         return args
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    # the subcommand's own options; help and config are not config keys
-    actions = {a.dest: a for a in sub.choices[args.command]._actions
-               if a.dest not in ("help", "config")}
+    options = {opt.name: opt for opt in _COMMANDS[args.command][1]}
     for key, value in cfg.items():
-        action = actions.get(key)
-        if action is None:
+        opt = options.get(key)
+        if opt is None:
             raise ValueError(f"{path}: unknown config key {key!r}")
-        if action.required:
+        if opt.required:
             raise ValueError(f"{path}: config key {key!r} is a required flag; "
-                             f"give {action.option_strings[0]} on the command line")
+                             f"give {opt.flag} on the command line")
         if getattr(args, key) is not None or value is None:
             continue
-        if action.nargs == 0 and not isinstance(value, bool):
+        if opt.kind is bool and not isinstance(value, bool):
             raise ValueError(f"{path}: config key {key!r} must be true or false")
-        if action.nargs != 0:
+        if opt.kind is not bool:
+            parse = str if isinstance(opt.kind, tuple) else opt.kind
             try:
-                value = (action.type or str)(str(value))
+                value = parse(str(value))
             except ValueError:
                 raise ValueError(f"{path}: config key {key!r}: invalid "
-                                 f"{action.type.__name__} value {value!r}") from None
+                                 f"{parse.__name__} value {value!r}") from None
         setattr(args, key, value)
     return args
 
 
-def _default(args, name, value):
-    if getattr(args, name, None) is None:
-        setattr(args, name, value)
+def _fill_defaults(args, strategy=None) -> None:
+    """Default each unset option that applies to strategy (any, if None); a
+    given option, flag or config key, that does not apply is an error."""
+    for opt in _COMMANDS[args.command][1]:
+        value = getattr(args, opt.name)
+        if strategy is None or strategy in opt.strategies:
+            if value is None:
+                setattr(args, opt.name, opt.default)
+        elif value is not None and value is not False:   # a false switch is not given
+            raise ValueError(f"option {opt.flag} does not apply to "
+                             f"--strategy {strategy}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +180,13 @@ def build_schedule(args) -> tuple[PulseSchedule, dict, float, str]:
     strategy = args.strategy
     if strategy not in ("a", "b", "c"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    for name, strategies in _STRATEGY_OPTIONS.items():
-        # given as a flag or config key; a False neglect_imag is not given
-        value = getattr(args, name)
-        if value is not None and value is not False and strategy not in strategies:
-            raise ValueError(f"option --{name.replace('_', '-')} does not "
-                             f"apply to --strategy {strategy}")
+    _fill_defaults(args, strategy)
     info: dict = {}
     if strategy in ("a", "b"):
         param_name = "A" if strategy == "a" else "B"
         param = getattr(args, param_name)
         if param is None:
             raise ValueError(f"missing required option --{param_name}")
-        _default(args, "T", 1.0)
         T = args.T
         if T <= 0:
             raise ValueError("T must be positive")
@@ -157,19 +203,15 @@ def build_schedule(args) -> tuple[PulseSchedule, dict, float, str]:
         if strategy == "a":
             schedule = strategy_a(param, omega, T)
         else:
-            _default(args, "delta_t_over_T", 0.01)
             schedule = strategy_b(param, omega, T, args.delta_t_over_T * T,
-                                  neglect_imag=bool(args.neglect_imag))
+                                  neglect_imag=args.neglect_imag)
         return schedule, info, T, "t/T"
-    _default(args, "omega", 1.0)
-    _default(args, "n_periods", 6)
     omega = args.omega
     if omega <= 0:
         raise ValueError("omega must be positive")
     if args.Omega0_over_omega is not None:
         kappa = args.Omega0_over_omega
     else:
-        _default(args, "target_delta_epsilon", DEFAULT_TARGET_DELTA_EPS)
         target = args.target_delta_epsilon
         cal = calibrate_strategy_c(target)
         kappa = cal.value
@@ -219,7 +261,6 @@ def cmd_tables(args) -> int:
 
 def cmd_synth(args) -> int:
     schedule, info, time_scale, unit = build_schedule(args)
-    _default(args, "samples_per_period", 200)
     spp = args.samples_per_period
     _atomic_write(args.out,
                   lambda tmp: schedule.write_csv(tmp, spp, time_scale))
@@ -246,7 +287,6 @@ def cmd_synth(args) -> int:
 
 def cmd_simulate(args) -> int:
     schedule, info, time_scale, unit = build_schedule(args)
-    _default(args, "steps_per_period", 2000)
     cfg = PropagationConfig(steps_per_carrier_period=args.steps_per_period,
                             record_states=True)
     report = propagate(schedule, ket(1), cfg)
@@ -272,7 +312,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     schedule, info, _, _ = build_schedule(args)
-    _default(args, "steps_per_period", 2000)
     csv = load_schedule_csv(args.schedule) if args.schedule else None
     result = run_verification(schedule, csv=csv,
                               steps_per_period=args.steps_per_period)
@@ -291,7 +330,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_calibrate_c(args) -> int:
-    _default(args, "target_delta_epsilon", DEFAULT_TARGET_DELTA_EPS)
+    _fill_defaults(args)
     target = args.target_delta_epsilon
     cal = calibrate_strategy_c(target)
     out = {"schema_version": 1, "target_delta_epsilon": target,
@@ -308,37 +347,6 @@ def cmd_calibrate_c(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override its keys")
-
-
-def _add_strategy(p):
-    p.add_argument("--strategy", choices=("a", "b", "c"))
-    p.add_argument("--A", type=finite_float, help="strategy-a window amplitude")
-    p.add_argument("--B", type=finite_float, help="strategy-b window amplitude")
-    p.add_argument("--T", type=finite_float, help="schedule duration in seconds "
-                   "(strategies a/b, default 1.0)")
-    p.add_argument("--omega-T-over-pi", dest="omega_T_over_pi",
-                   type=finite_float,
-                   help="override the calibrated omega*T (in units of pi)")
-    p.add_argument("--delta-t-over-T", dest="delta_t_over_T",
-                   type=finite_float,
-                   help="strategy-b patch half-width in units of T (default 0.01)")
-    p.add_argument("--neglect-imag", dest="neglect_imag", action="store_true",
-                   default=None, help="strategy-b: drop the imaginary envelope part")
-    p.add_argument("--omega", type=finite_float,
-                   help="strategy-c carrier frequency (default 1.0)")
-    p.add_argument("--Omega0-over-omega", dest="Omega0_over_omega",
-                   type=finite_float,
-                   help="strategy-c amplitude ratio; omit to calibrate")
-    p.add_argument("--target-delta-epsilon", dest="target_delta_epsilon",
-                   type=finite_float,
-                   help="strategy-c per-period phase increment target "
-                   "(default pi/6)")
-    p.add_argument("--n-periods", dest="n_periods", type=int,
-                   help="strategy-c carrier periods (default 6)")
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises argparse.ArgumentError on a usage error, such as a missing or
     unknown flag or a value its type rejects, so main exits 1, not 2."""
@@ -350,60 +358,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 def make_parser() -> argparse.ArgumentParser:
-    """The lrpulse parser; its subcommand parsers share its class."""
+    """The lrpulse parser and, of its class, one parser per _COMMANDS entry;
+    each handler is looked up in the module now, so a rebound cmd_* is called."""
     parser = _Parser(
         prog="lrpulse",
         description="Invariant-based pulse design for driven three-level "
                     "systems beyond the rotating-wave approximation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tables", help="write a calibration table as CSV")
-    _add_common(p)
-    p.add_argument("--which", choices=("I", "II"), required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("synth", help="synthesize a pulse schedule CSV")
-    _add_common(p)
-    _add_strategy(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--summary", help="optional JSON summary path")
-    p.add_argument("--samples-per-period", dest="samples_per_period",
-                   type=int, help="CSV samples per carrier period (default 200)")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("simulate", help="synthesize, propagate, and report populations")
-    _add_common(p)
-    _add_strategy(p)
-    p.add_argument("--out", help="population-trace CSV path")
-    p.add_argument("--summary", help="JSON summary path")
-    p.add_argument("--steps-per-period", dest="steps_per_period",
-                   type=int, help="RK4 steps per carrier period (default 2000)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="run the self-check suites")
-    _add_common(p)
-    _add_strategy(p)
-    p.add_argument("--schedule", help="also check the invariance residual "
-                   "of this schedule CSV file at each of its interior rows")
-    p.add_argument("--out", help="JSON report path")
-    p.add_argument("--steps-per-period", dest="steps_per_period",
-                   type=int, help="RK4 steps per carrier period (default 2000)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("calibrate-c", help="solve the strategy-c amplitude ratio")
-    _add_common(p)
-    p.add_argument("--target-delta-epsilon", dest="target_delta_epsilon",
-                   type=finite_float)
-    p.add_argument("--out", help="JSON result path")
-    p.set_defaults(func=cmd_calibrate_c)
+    for command, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        for opt in options:   # help shows where the option applies and its default
+            notes = "; ".join(filter(None, [
+                opt.strategies != "abc" and "strategy " + "/".join(opt.strategies),
+                opt.default is not None and f"default {opt.default}"]))
+            kind = ({"action": "store_true", "default": None} if opt.kind is bool
+                    else {"choices": opt.kind} if isinstance(opt.kind, tuple)
+                    else {"type": opt.kind})
+            p.add_argument(opt.flag, required=opt.required, **kind,
+                           help=f"{opt.help} ({notes})" if notes else opt.help)
+        p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
     return parser
 
 
 def main(argv=None) -> int:
     parser = make_parser()
     try:
-        args = _merge_config(parser.parse_args(argv), parser)
+        args = _merge_config(parser.parse_args(argv))
         return args.func(args)
     except (ValueError, json.JSONDecodeError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -164,7 +164,7 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
     # run too, and chain the runs in the basis V; records fall on run ends
     m, U = stride // L, U.transpose(2, 0, 1)
     runs = U[::m]
-    for u in (U[k::m] for k in range(1, m)):
+    for u in (U[k::m] for k in range(1, min(m, n_blocks))):
         runs[:len(u)] = u @ runs[:len(u)]
     states = [V.T @ psi0]
     for u in runs:

@@ -431,13 +431,12 @@ def strategy_a(A: float, omega: float, T: float) -> PulseSchedule:
 
     def sample(t):   # six sines and cosines a time: omega*t, 2*pi*t/T and beta
         c, s = np.cos(omega * t), np.sin(omega * t)
-        cw, sw = np.cos(TWO_PI * t / T), np.sin(TWO_PI * t / T)
-        fv = 0.5 * A * (1.0 - cw)   # the window f; its derivative is pi*A/T*sw
+        fv = f(t)
         b = fv * c ** 2
         sb, cb = np.sin(b), np.cos(b)
         # beta_dot / cos and sin(2*beta) / cos, both regular: beta carries a
         # cos^2 factor, and sin(2b)/(2b) = sin(b)cos(b)/b is 1 at b = 0
-        bdot_over_c = (np.pi * A / T) * sw * c - 2.0 * fv * omega * s
+        bdot_over_c = fdot(t) * c - 2.0 * fv * omega * s
         s2b_over_c = 2.0 * fv * c * np.divide(sb * cb, b, out=np.ones_like(b),
                                               where=b != 0.0)
         envelope = -omega / (2.0 * SQRT2) * s2b_over_c - 1j / SQRT2 * bdot_over_c
