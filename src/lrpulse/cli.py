@@ -24,7 +24,7 @@ from .synthesis import (PulseSchedule, calibrate_strategy_c, load_schedule_csv,
                         solve_omega_T_for_A, solve_omega_T_for_B, strategy_a,
                         strategy_b, strategy_c)
 from .verify import run_verification
-from .core import _sample, ket
+from .core import ket
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -225,8 +225,7 @@ def build_schedule(args) -> tuple[PulseSchedule, dict, float, str]:
 
 def _envelope_summary(schedule: PulseSchedule) -> dict:
     ts = schedule.sample_times(400)
-    (op, _, dd, _), _ = _sample(schedule, ts)   # each sampler called once
-    op, dd = np.asarray(op, dtype=complex), np.asarray(dd, dtype=float)
+    op, _, dd, _, _ = schedule.sample(ts)
     return {
         "max_abs_omega_p": float(np.max(np.abs(op))),
         "max_re_omega_p": float(np.max(op.real)),
@@ -351,9 +350,10 @@ class _Parser(argparse.ArgumentParser):
     """Raises argparse.ArgumentError on a usage error, such as a missing or
     unknown flag or a value its type rejects, so main exits 1, not 2."""
 
-    def error(self, message):
+    def error(self, message):   # each enclosing parser calls it again on message
+        hint = "; a config key cannot stand in for a required flag"
         if message.startswith("the following arguments are required: --"):
-            message += "; a config key cannot stand in for a required flag"
+            message = message.removesuffix(hint) + hint
         raise argparse.ArgumentError(None, message)
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AuxParams, SQRT2, _sample, _View, lr_phase_rate
+from .core import AuxParams, SQRT2, lr_phase_rate
 from .errors import CalibrationError, SynthesisError
 from .numerics import (Bracket, RunningIntegral, central_diff, find_root,
                        integrate)
@@ -160,14 +160,17 @@ def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
 # schedules
 # ---------------------------------------------------------------------------
 
+def _check_carrier(omega: float) -> None:
+    if omega <= 0:
+        raise ValueError("carrier frequency must be positive")
+    if not np.isfinite(omega):
+        raise ValueError(f"carrier frequency must be finite, not {omega}")
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Evaluable complex envelopes and detunings on one carrier frequency.
-
-    Pump and Stokes share the carrier omega; envelopes and detunings are
-    callables of scalar or array times. A strategy's are views of its sampler,
-    called once per chunk by core._sample's rule; a replaced field is called.
-    """
+    """Complex envelopes and detunings, callables of scalar or array times,
+    on one carrier frequency omega that pump and Stokes share."""
 
     omega: float
     Omega_p: Callable
@@ -181,13 +184,30 @@ class PulseSchedule:
     trajectory: AuxiliaryTrajectory | None = None
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("carrier frequency must be positive")
+        _check_carrier(self.omega)
 
     def header(self) -> dict:
         return {"schema_version": 1, "omega": self.omega,
                 "strategy": self.strategy, "params": self.params,
                 "t_start": self.t_start, "t_end": self.t_end}
+
+    def sample(self, t):
+        """(Omega_p, Omega_s, Delta_p, Delta_s, cos(omega*t)), each of t's shape.
+        Each distinct closure, or sampler of a _View (by type), is called once;
+        only a view on this omega gives the carrier, else it is np.cos(omega*t)."""
+        t = np.asarray(t, dtype=float)
+        calls, samples, carrier = {}, [], None
+        for fn in (self.Omega_p, self.Omega_s, self.Delta_p, self.Delta_s):
+            view = isinstance(fn, _View)
+            key = id(fn.sampler if view else fn)
+            if key not in calls:
+                calls[key] = fn.sampler(t) if view else fn(t)
+            if view and fn.omega == self.omega:
+                carrier = calls[key][2]
+            samples.append(calls[key][fn.index] if view else calls[key])
+        samples.append(np.cos(self.omega * t) if carrier is None else carrier)
+        return tuple(x if getattr(x, "shape", None) == t.shape
+                     else np.broadcast_to(x, t.shape) for x in samples)
 
     def sample_times(self, samples_per_period: int = 200) -> np.ndarray:
         """At least 3 uniform times spanning the domain; raises ValueError
@@ -206,9 +226,7 @@ class PulseSchedule:
         pump and Stokes detunings, which the one delta column cannot hold.
         """
         ts = self.sample_times(samples_per_period)
-        (op, os_, dd, ds), _ = _sample(self, ts)   # core.hamiltonian_entries' rule
-        op, os_ = np.asarray(op, dtype=complex), np.asarray(os_, dtype=complex)
-        dd = np.asarray(dd, dtype=float)
+        op, os_, dd, ds, _ = self.sample(ts)
         if np.max(np.abs(ds - dd)) > 1e-12 * self.omega:
             raise ValueError("Stokes detuning differs from the pump detuning; "
                              "a schedule file holds one detuning column")
@@ -380,12 +398,23 @@ def synthesize_general(aux: AuxiliaryTrajectory, omega: float) -> PulseSchedule:
 # strategies: one reduced invariant, a mixing angle and a regular envelope each
 # ---------------------------------------------------------------------------
 
+class _View:
+    """Output index (0 envelope, 1 detuning) of a strategy's sampler on omega."""
+
+    def __init__(self, sampler, index: int, omega: float):
+        self.sampler, self.index, self.omega = sampler, index, omega
+
+    def __call__(self, t):
+        return self.sampler(np.asarray(t, dtype=float))[self.index]
+
+
 def _reduced_schedule(strategy: str, params: dict, beta: Callable,
                       beta_dot: Callable, sampler: Callable, omega: float,
                       t_start: float, t_end: float) -> PulseSchedule:
     """Schedule of the reduced trajectory of beta. sampler maps float times to
     (envelope, Delta = -2 epsilon_dot, cos(omega*t)) from shared trig; pump
     and Stokes get one view of the envelope and one of the detuning."""
+    _check_carrier(omega)
     traj = reduced_trajectory(beta, beta_dot, omega, t_start, t_end)
     envelope, delta = _View(sampler, 0, omega), _View(sampler, 1, omega)
     return PulseSchedule(

@@ -65,6 +65,18 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert "--samples-per-period" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["tables", "--out", "x.csv"],
+                                      ["synth", "--strategy", "a", "--A", "0.5"]])
+    def test_required_flag_hint_printed_once(self, tmp_path, capsys,
+                                             monkeypatch, argv):
+        # argparse hands a subparser's message to each enclosing parser's error
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: the following arguments are required: --")
+        assert err.count("a config key cannot stand in for a required flag") == 1
+        assert not (tmp_path / "x.csv").exists()
+
     def test_no_tol_flag(self, tmp_path, capsys):
         # the calibrations solve to fixed tolerances; --tol is not an option
         out = tmp_path / "t.csv"
@@ -453,6 +465,16 @@ class TestNonFiniteInputs:
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and option in err
+        assert not out.exists()
+
+    def test_carrier_overflowing_to_inf(self, tmp_path, capsys):
+        # omega = omega*T / T overflows; the error line, not a traceback
+        out = tmp_path / "o.csv"
+        assert main(["synth", "--strategy", "a", "--A", "0.5",
+                     "--omega-T-over-pi", "30", "--T", "1e-320",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("count", ["0", "-5"])

@@ -9,7 +9,9 @@ import pytest
 from lrpulse import (AuxParams, PulseSchedule, analytic_evolution,
                      final_state_prediction, hamiltonian_at,
                      invariance_residual, invariant_at, invariant_eigenvectors,
-                     ket, lr_phase_rate, strategy_a, strategy_b, strategy_c)
+                     ket, load_schedule_csv, lr_phase_rate, strategy_a,
+                     strategy_b, strategy_c)
+from lrpulse.cli import _envelope_summary
 from lrpulse.core import _CHUNK, hamiltonian_entries
 from lrpulse.errors import DomainError, SingularityError
 from lrpulse.verify import lr_phase_rates_numeric
@@ -151,6 +153,54 @@ class TestSamplingRule:
         assert calls == [t.size] and h32 is h12
         ref = hamiltonian_entries(sch, t)[1]
         assert np.max(np.abs(h12 - 2.0 * ref)) <= 1e-15 * sch.omega
+
+
+class TestScheduleSample:
+    # PulseSchedule.sample is the one rule hamiltonian_entries, write_csv and
+    # the CLI's envelope summary read a schedule by
+    def test_constant_closures_broadcast(self):
+        sch = simple_schedule()
+        t = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        op, os_, dp, ds, carrier = sch.sample(t)
+        assert all(x.shape == t.shape for x in (op, os_, dp, ds, carrier))
+        assert np.all(op == 0.3 + 0.1j) and np.all(os_ == 0.2 - 0.05j)
+        assert np.all(dp == -0.4) and np.all(ds == -0.4)
+        assert np.array_equal(carrier, np.cos(10.0 * t))
+
+    def test_samples_of_t_shape_pass_through(self):
+        sch = strategy_c(0.3, 1.0, 2)
+        t = sch.sample_times(50)
+        op, os_, dp, ds, carrier = sch.sample(t)
+        envelope, detuning, c = sch.Omega_p.sampler(t)
+        assert op is os_ and dp is ds
+        assert np.array_equal(op, envelope) and np.array_equal(dp, detuning)
+        assert np.array_equal(carrier, c)
+
+    def test_write_csv_of_constant_closures(self, tmp_path):
+        sch = simple_schedule()
+        sch.write_csv(tmp_path / "s.csv", samples_per_period=20)
+        meta, data = load_schedule_csv(tmp_path / "s.csv")
+        assert meta["strategy"] == "test" and len(data) == sch.sample_times(20).size
+        assert np.all(data["re_omega_p"] == 0.3) and np.all(data["im_omega_p"] == 0.1)
+        assert np.all(data["re_omega_s"] == 0.2) and np.all(data["im_omega_s"] == -0.05)
+        assert np.all(data["delta"] == -0.4)
+
+    def test_envelope_summary_of_constant_closures(self):
+        summary = _envelope_summary(simple_schedule())
+        assert summary["max_abs_omega_p"] == abs(0.3 + 0.1j)
+        assert summary["endpoint_abs_omega_p"] == [abs(0.3 + 0.1j)] * 2
+        assert summary["max_im_omega_p"] == summary["min_im_omega_p"] == 0.1
+        assert summary["max_abs_delta"] == 0.4
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf])
+    def test_non_finite_carrier_rejected(self, omega):
+        with pytest.raises(ValueError, match="finite"):
+            simple_schedule(omega=omega)
+        # the strategies too, before their trajectory takes its cell count
+        with pytest.raises(ValueError):
+            strategy_a(0.5, omega, 1.0)
+        with pytest.raises(ValueError):
+            strategy_c(0.1, omega, 1)
 
 
 class TestInvariant:

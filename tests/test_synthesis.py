@@ -16,7 +16,7 @@ from lrpulse.errors import CalibrationError, SynthesisError
 from lrpulse.numerics import Bracket, find_root, integrate
 from lrpulse.synthesis import (KAPPA_SUP, _bessel_j0, _carrier_mean_sin2,
                                _deviation_constant)
-from lrpulse.verify import RESIDUAL_TOL_OVER_OMEGA, check_invariance
+from lrpulse.verify import RESIDUAL_TOL_OVER_OMEGA, SLOPE_TOL, check_invariance
 
 
 def simpson(f, a, b, n):
@@ -281,6 +281,11 @@ class TestSynthesizeGeneral:
         sch = synthesize_general(traj, w)
         ts = np.linspace(t0 + 0.02, t1 - 0.02, 9)
         assert np.max(invariance_residual(sch, ts, 1e-7)) < 1e-7
+        # the residual decays as O(h^2), h a fraction of the carrier period
+        h = 1e-2 * 2 * np.pi / w
+        r = [invariance_residual(sch, ts, h / 2 ** i) for i in range(3)]
+        slopes = np.log2([r[0] / r[1], r[1] / r[2]])
+        assert np.max(np.abs(slopes - 2.0)) < SLOPE_TOL
         # and the branch phases carry every state along it
         for psi0 in (ket(1), ket(3), np.array([0.6, 0.8j, 0.0])):
             assert compare_with_analytic(sch, psi0) <= 1e-10
@@ -566,6 +571,13 @@ class TestCalibration:
         cal = calibrate_strategy_c(np.pi / 6)
         assert delta_epsilon_per_period(cal.value) == pytest.approx(
             np.pi / 6, abs=1e-6)
+
+    @settings(max_examples=20, deadline=None)
+    @given(target=st.floats(1e-3, delta_epsilon_per_period(0.3396)))
+    def test_calibrate_c_hits_random_targets(self, target):
+        # against this file's Wallis series, which shares no quadrature
+        kappa = calibrate_strategy_c(target).value
+        assert abs(wallis_delta_epsilon(kappa) - target) <= 1e-8
 
     def test_calibrate_c_out_of_range(self):
         with pytest.raises(CalibrationError):
