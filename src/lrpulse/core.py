@@ -201,18 +201,19 @@ def analytic_evolution(aux_traj, psi0: np.ndarray, t, t0=None) -> np.ndarray:
 
     Each branch k in (+1, -1, 0) carries the amplitude
     c_k = <phi_k(t0)|psi0> exp(-i theta_k(t0)) and then the phase theta_k(t)
-    supplied by the trajectory (phase_plus, phase_minus, phase_zero).
+    from the trajectory's phases, which the +1 and -1 branches share.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if not is_normalized(psi0):
         raise ValueError("psi0 must be normalized")
     t0 = aux_traj.t_start if t0 is None else t0
     _check_in_window(aux_traj, "trajectory domain", np.append(t, t0))
-    phases = (aux_traj.phase_plus, aux_traj.phase_minus, aux_traj.phase_zero)
+    pm, zero = (np.exp(1j * (theta - theta0)) for theta, theta0
+                in zip(aux_traj.phases(t), aux_traj.phases(t0)))
     branches = zip(invariant_eigenvectors(aux_traj.at(t0)),
-                   invariant_eigenvectors(aux_traj.at(t)), phases)
-    return sum((np.vdot(phi0, psi0) * np.exp(1j * (phase(t) - phase(t0))))[..., None]
-               * phi for phi0, phi, phase in branches)
+                   invariant_eigenvectors(aux_traj.at(t)), (pm, pm, zero))
+    return sum((np.vdot(phi0, psi0) * turn)[..., None] * phi
+               for phi0, phi, turn in branches)
 
 
 def final_state_prediction(alpha: float, epsilon_T: float) -> np.ndarray:

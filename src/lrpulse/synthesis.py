@@ -54,45 +54,22 @@ _SCHEDULE_COLUMNS = ("t", "re_omega_p", "im_omega_p", "re_omega_s", "im_omega_s"
 
 @dataclass(frozen=True)
 class AuxiliaryTrajectory:
-    """Evaluable auxiliary angles, derivatives, and accumulated branch phases.
+    """Auxiliary angles and accumulated branch phases on [t_start, t_end].
 
-    Every callable takes scalar or array times; theta_dot is the invariant's
-    phase-rate parameter. phase_plus / phase_minus / phase_zero are the
-    phases picked up by the +1 / -1 / 0 invariant eigenvectors between
-    t_start and t, which analytic_evolution attaches to each branch. Under the
-    schedule of synthesize_general, their rates <phi_k| i d/dt - H |phi_k>
-    are -theta_dot cos(beta)^2 (+1 and -1) and theta_dot sin(beta)^2 (0).
+    Each callable takes scalar or array times: at gives the AuxParams of the
+    angles and their derivatives, theta_dot the invariant's phase-rate
+    parameter, and phases the stacked (theta_pm, theta_0) picked up since
+    t_start by the +1 and -1 eigenvectors, which share one, and by the 0
+    eigenvector. Under the schedule of synthesize_general their rates
+    <phi_k| i d/dt - H |phi_k> are -theta_dot cos(beta)^2 and
+    theta_dot sin(beta)^2.
     """
 
-    alpha: Callable
-    alpha_dot: Callable
-    beta: Callable
-    beta_dot: Callable
-    epsilon: Callable
-    epsilon_dot: Callable
-    lam: Callable
-    lam_dot: Callable
+    at: Callable
     theta_dot: Callable
+    phases: Callable
     t_start: float
     t_end: float
-    phase_plus: Callable
-    phase_minus: Callable
-    phase_zero: Callable
-
-    def at(self, t) -> AuxParams:
-        return AuxParams(
-            alpha=self.alpha(t), beta=self.beta(t),
-            epsilon=self.epsilon(t), lam=self.lam(t),
-            alpha_dot=self.alpha_dot(t), beta_dot=self.beta_dot(t),
-            epsilon_dot=self.epsilon_dot(t), lam_dot=self.lam_dot(t),
-        )
-
-    def constraint_residual(self, t):
-        return self.at(t).constraint_residual()
-
-
-def _const(value: float) -> Callable:
-    return lambda t: np.full(np.shape(t), value)
 
 
 def reduced_trajectory(beta: Callable, beta_dot: Callable, omega: float,
@@ -107,20 +84,26 @@ def reduced_trajectory(beta: Callable, beta_dot: Callable, omega: float,
     core.hamiltonian_entries: adding c(t) times the identity to H shifts
     every branch rate by -c(t) and leaves all populations unchanged.
     """
+    _check_carrier(omega)
     periods = (t_end - t_start) * omega / TWO_PI
+    if not np.isfinite(periods):
+        raise ValueError(f"trajectory window [{t_start}, {t_end}] must be finite")
     n_cells = max(64, int(np.ceil(periods * _RUNNING_CELLS_PER_PERIOD)))
-    eps_dot = lambda t: omega * np.sin(beta(t)) ** 2
-    eps = RunningIntegral(eps_dot, t_start, t_end, n_cells)
-    phase = lambda t: omega * (np.asarray(t, dtype=float) - t_start) - eps(t)
+    eps = RunningIntegral(lambda t: omega * np.sin(beta(t)) ** 2,
+                          t_start, t_end, n_cells)
+
+    def at(t):
+        b = beta(t)
+        return AuxParams(alpha=_REDUCED_ALPHA, beta=b, epsilon=eps(t), lam=0.0,
+                         beta_dot=beta_dot(t), epsilon_dot=omega * np.sin(b) ** 2)
+
+    def phases(t):
+        e = eps(t)
+        return np.stack([omega * (np.asarray(t, dtype=float) - t_start) - e, -e])
+
     return AuxiliaryTrajectory(
-        alpha=_const(_REDUCED_ALPHA), alpha_dot=_const(0.0),
-        beta=beta, beta_dot=beta_dot,
-        epsilon=eps, epsilon_dot=eps_dot,
-        lam=_const(0.0), lam_dot=_const(0.0),
-        theta_dot=_const(-omega),
-        t_start=t_start, t_end=t_end,
-        phase_plus=phase, phase_minus=phase, phase_zero=lambda t: -eps(t),
-    )
+        at=at, theta_dot=lambda t: np.full(np.shape(t), -omega), phases=phases,
+        t_start=t_start, t_end=t_end)
 
 
 def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
@@ -133,27 +116,25 @@ def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
     The phase-rate parameter is pinned by the quotient relation, so sin(beta)
     must stay away from zero on the whole domain.
     """
-    alpha_dot = lambda t: lam_dot(t) * np.cos(beta(t)) * np.cos(epsilon(t))
-    alpha = RunningIntegral(alpha_dot, t_start, t_end, _GENERAL_TRAJECTORY_CELLS)
-    alpha_of = lambda t: alpha0 + alpha(t)
+    constraint = lambda b, e, ld: ld * np.cos(b) * np.cos(e)   # alpha_dot
+    alpha = RunningIntegral(lambda t: constraint(beta(t), epsilon(t), lam_dot(t)),
+                            t_start, t_end, _GENERAL_TRAJECTORY_CELLS)
 
-    def theta_dot(t):
-        return lr_phase_rate(AuxParams(
-            alpha=alpha_of(t), beta=beta(t), epsilon=epsilon(t), lam=lam(t),
-            epsilon_dot=epsilon_dot(t), lam_dot=lam_dot(t)))
+    def at(t):
+        b, e, ld = beta(t), epsilon(t), lam_dot(t)
+        return AuxParams(alpha=alpha0 + alpha(t), beta=b, epsilon=e, lam=lam(t),
+                         alpha_dot=constraint(b, e, ld), beta_dot=beta_dot(t),
+                         epsilon_dot=epsilon_dot(t), lam_dot=ld)
 
-    # the +-1 and the 0 branch phase rates, from one theta_dot sample
-    rates = lambda u: theta_dot(u) * np.stack([-np.cos(beta(u)) ** 2,
-                                               np.sin(beta(u)) ** 2])
-    phases = RunningIntegral(rates, t_start, t_end, _GENERAL_TRAJECTORY_CELLS)
-    phase = lambda t: phases(t)[0]
+    def rates(t):   # the +-1 and the 0 branch phase rates, from one sample
+        p = at(t)
+        return lr_phase_rate(p) * np.stack([-np.cos(p.beta) ** 2,
+                                            np.sin(p.beta) ** 2])
+
     return AuxiliaryTrajectory(
-        alpha=alpha_of, alpha_dot=alpha_dot, beta=beta, beta_dot=beta_dot,
-        epsilon=epsilon, epsilon_dot=epsilon_dot,
-        lam=lam, lam_dot=lam_dot, theta_dot=theta_dot,
-        t_start=t_start, t_end=t_end,
-        phase_plus=phase, phase_minus=phase, phase_zero=lambda t: phases(t)[1],
-    )
+        at=at, theta_dot=lambda t: lr_phase_rate(at(t)),
+        phases=RunningIntegral(rates, t_start, t_end, _GENERAL_TRAJECTORY_CELLS),
+        t_start=t_start, t_end=t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +316,20 @@ def _branch(aux: AuxiliaryTrajectory, omega: float, pump: bool):
         return (np.cos(a), np.sin(a)) if pump else (np.sin(a), np.cos(a))
 
     def numerator(t):
-        b = aux.beta(t)
-        c, s = trig(aux.alpha(t))
-        common = 0.5 * c * (-2j * aux.beta_dot(t) + aux.theta_dot(t) * np.sin(2 * b))
-        return (sign * 1j * aux.lam_dot(t) * np.exp(-1j * aux.epsilon(t))
-                * s * np.sin(b)) + common
+        p = aux.at(t)
+        c, s = trig(p.alpha)
+        common = 0.5 * c * (-2j * p.beta_dot
+                            + aux.theta_dot(t) * np.sin(2 * p.beta))
+        return (sign * 1j * p.lam_dot * np.exp(-1j * p.epsilon)
+                * s * np.sin(p.beta)) + common
 
     def detuning(t):
-        a, b = aux.alpha(t), aux.beta(t)
+        p = aux.at(t)
+        a, b = p.alpha, p.beta
         c, s = trig(a)
-        rhs = (-aux.epsilon_dot(t) * s ** 2
+        rhs = (-p.epsilon_dot * s ** 2
                + aux.theta_dot(t) * (c ** 2 * np.sin(b) ** 2 - np.cos(b) ** 2)
-               - sign * aux.lam_dot(t) * np.sin(aux.epsilon(t)) * np.sin(2 * a)
-               * np.cos(b))
+               - sign * p.lam_dot * np.sin(p.epsilon) * np.sin(2 * a) * np.cos(b))
         return rhs - omega
 
     return numerator, detuning
@@ -414,7 +396,6 @@ def _reduced_schedule(strategy: str, params: dict, beta: Callable,
     """Schedule of the reduced trajectory of beta. sampler maps float times to
     (envelope, Delta = -2 epsilon_dot, cos(omega*t)) from shared trig; pump
     and Stokes get one view of the envelope and one of the detuning."""
-    _check_carrier(omega)
     traj = reduced_trajectory(beta, beta_dot, omega, t_start, t_end)
     envelope, delta = _View(sampler, 0, omega), _View(sampler, 1, omega)
     return PulseSchedule(
@@ -592,6 +573,8 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
     f, fdot = _window(B, T, "B")
     if omega <= 0 or T <= 0:
         raise ValueError("omega and T must be positive")
+    if not np.isfinite(omega * T):
+        raise ValueError(f"omega*T must be finite, not {omega * T}")
     if not 0.0 < delta_t < 0.5 * np.pi / omega:
         raise ValueError("delta_t must lie in (0, pi/(2*omega)): a wider patch "
                          "overlaps adjacent singular points")
@@ -660,6 +643,7 @@ def strategy_c(Omega0: float, omega: float, n_periods: int) -> PulseSchedule:
     n_periods full carrier periods starting at t = pi / (2*omega)."""
     if omega <= 0:
         raise ValueError("omega must be positive")
+    _check_carrier(omega)
     if not 0.0 <= Omega0 < omega * KAPPA_SUP:
         raise ValueError(
             f"Omega0 must lie in [0, omega/(2*sqrt(2))) = [0, {omega * KAPPA_SUP:.6g})")

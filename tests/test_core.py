@@ -9,8 +9,8 @@ import pytest
 from lrpulse import (AuxParams, PulseSchedule, analytic_evolution,
                      final_state_prediction, hamiltonian_at,
                      invariance_residual, invariant_at, invariant_eigenvectors,
-                     ket, load_schedule_csv, lr_phase_rate, strategy_a,
-                     strategy_b, strategy_c)
+                     ket, load_schedule_csv, lr_phase_rate, reduced_trajectory,
+                     strategy_a, strategy_b, strategy_c)
 from lrpulse.cli import _envelope_summary
 from lrpulse.core import _CHUNK, hamiltonian_entries
 from lrpulse.errors import DomainError, SingularityError
@@ -201,6 +201,21 @@ class TestScheduleSample:
             strategy_a(0.5, omega, 1.0)
         with pytest.raises(ValueError):
             strategy_c(0.1, omega, 1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: strategy_a(0.5, 1.0, np.inf),
+        lambda: strategy_a(0.5, 1.0, np.nan),
+        lambda: reduced_trajectory(np.sin, np.cos, np.inf, 0.0, 1.0),
+        lambda: strategy_b(0.5, np.inf, 1.0, 0.01),
+        lambda: strategy_b(0.5, 1.0, np.inf, 0.01),
+        lambda: strategy_c(0.3, np.nan, 2),
+    ], ids=["a-T-inf", "a-T-nan", "reduced-omega-inf", "b-omega-inf",
+            "b-T-inf", "c-omega-nan"])
+    def test_non_finite_T_or_omega_named(self, build):
+        # a ValueError that names finiteness: not an OverflowError from the
+        # trajectory's cell count, nor a range check blaming delta_t or Omega0
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 class TestInvariant:

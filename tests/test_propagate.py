@@ -377,7 +377,8 @@ class TestAnalyticComparison:
 
     def test_domain_mismatch(self):
         sch = strategy_c(0.3, 1.0, 2)
-        traj = reduced_trajectory(sch.trajectory.beta, sch.trajectory.beta_dot,
+        aux = sch.trajectory.at
+        traj = reduced_trajectory(lambda t: aux(t).beta, lambda t: aux(t).beta_dot,
                                   1.0, sch.t_start, sch.t_start + 1.0)
         with pytest.raises(ValueError, match="does not cover"):
             compare_with_analytic(dataclasses.replace(sch, trajectory=traj),
@@ -394,8 +395,10 @@ def _nan_phase_at_one_record(sch):
     # 500 steps/period records every span/20; NaN at the 7th record only
     span = sch.t_end - sch.t_start
     traj = sch.trajectory
-    bad = dataclasses.replace(traj, phase_zero=_nan_near(
-        traj.phase_zero, sch.t_start + 7 * span / 20, span / 80))
+    zero = _nan_near(lambda t: traj.phases(t)[1], sch.t_start + 7 * span / 20,
+                     span / 80)
+    bad = dataclasses.replace(
+        traj, phases=lambda t: np.stack([traj.phases(t)[0], zero(t)]))
     return check_analytic_agreement(dataclasses.replace(sch, trajectory=bad),
                                     steps_per_period=500), "max_deviation"
 

@@ -1,5 +1,7 @@
 """Tests for trajectories, inverse engineering, strategies, and calibration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,8 @@ from lrpulse.errors import CalibrationError, SynthesisError
 from lrpulse.numerics import Bracket, find_root, integrate
 from lrpulse.synthesis import (KAPPA_SUP, _bessel_j0, _carrier_mean_sin2,
                                _deviation_constant)
-from lrpulse.verify import RESIDUAL_TOL_OVER_OMEGA, SLOPE_TOL, check_invariance
+from lrpulse.verify import (ANALYTIC_TOL, RESIDUAL_TOL_OVER_OMEGA, SLOPE_TOL,
+                            check_invariance, check_phase_consistency)
 
 
 def simpson(f, a, b, n):
@@ -162,24 +165,23 @@ class TestReducedTrajectory:
         for t in (0.21, 0.5, 0.83, 1.0):
             ref = omega * simpson(lambda u: np.sin(beta(u)) ** 2, 0.0, t,
                                   2 ** 14)
-            assert abs(traj.epsilon(t) - ref) < 1e-9
+            assert abs(traj.at(t).epsilon - ref) < 1e-9
 
     def test_constraint_holds(self):
         omega = 20.0
         beta, beta_dot = window_beta(0.4, 1.0, omega)
         traj = reduced_trajectory(beta, beta_dot, omega, 0.0, 1.0)
         for t in np.linspace(0.05, 0.95, 7):
-            assert traj.constraint_residual(t) < 1e-14
+            assert traj.at(t).constraint_residual() < 1e-14
 
     def test_branch_phases(self):
         omega = 20.0
         beta, beta_dot = window_beta(0.5, 1.0, omega)
         traj = reduced_trajectory(beta, beta_dot, omega, 0.0, 1.0)
         t = 0.63
-        eps = traj.epsilon(t)
-        assert traj.phase_plus(t) == pytest.approx(omega * t - eps)
-        assert traj.phase_minus(t) == pytest.approx(omega * t - eps)
-        assert traj.phase_zero(t) == pytest.approx(-eps)
+        eps = traj.at(t).epsilon
+        assert traj.phases(t)[0] == pytest.approx(omega * t - eps)
+        assert traj.phases(t)[1] == pytest.approx(-eps)
 
 
 def lambda_trajectory():
@@ -224,18 +226,18 @@ class TestSynthesizeGeneral:
         sch = synthesize_general(traj, w)
         for t in np.linspace(t0 + 0.02, t1 - 0.02, 9):
             assert invariance_residual(sch, t, 1e-7) < 1e-7
-            assert traj.constraint_residual(t) < 1e-9
+            assert traj.at(t).constraint_residual() < 1e-9
 
     def test_phase_zero_matches_quadrature(self):
-        # phase_zero's integrand calls alpha, itself a running integral, on
-        # the outer rule's 2-D array of nodes
+        # the 0 branch phase's integrand calls alpha, itself a running
+        # integral, on the outer rule's 2-D array of nodes
         traj = lambda_trajectory()
-        rate = lambda u: traj.theta_dot(u) * np.sin(traj.beta(u)) ** 2
+        rate = lambda u: traj.theta_dot(u) * np.sin(traj.at(u).beta) ** 2
         ref = simpson(rate, 0.3, 0.7, 2 ** 12)
-        assert abs(traj.phase_zero(0.7) - ref) < 1e-10
+        assert abs(traj.phases(0.7)[1] - ref) < 1e-10
 
     def test_phase_rate_sampled_once(self, monkeypatch):
-        # the three branch phases share one running integral of theta_dot
+        # the branch phases share one running integral of theta_dot
         calls = []
 
         def counted(aux):
@@ -245,8 +247,6 @@ class TestSynthesizeGeneral:
         monkeypatch.setattr(synthesis, "lr_phase_rate", counted)
         traj = lambda_trajectory()
         assert len(calls) == 1
-        t = np.linspace(0.3, 0.7, 11)
-        assert np.array_equal(traj.phase_plus(t), traj.phase_minus(t))
 
     def test_verification_runs_every_check(self):
         # the branch phases of a lambda trajectory expand and verify like
@@ -260,6 +260,26 @@ class TestSynthesizeGeneral:
         assert checks["lr_phase_consistency"]["max_rate_mismatch_over_omega"] \
             <= 1e-7
         assert checks["analytic_agreement"]["max_deviation"] <= 1e-10
+
+    @pytest.mark.parametrize("row", [0, 1], ids=["theta_pm", "theta_0"])
+    @pytest.mark.parametrize("general", [False, True], ids=["c", "lambda"])
+    def test_each_phase_is_checked(self, general, row):
+        # a drift c*(t - t_start), c = 1e-3 omega, on one of the two phases.
+        # From |1> on strategies a, b and c only the +-1 branches are
+        # populated, so their shared phase is a global phase there and the
+        # analytic comparison cannot see it: only the phase check can.
+        sch = (synthesize_general(lambda_trajectory(), 2 * np.pi) if general
+               else strategy_c(0.3, 1.0, 2))
+        traj, c = sch.trajectory, 1e-3 * sch.omega
+        drift = lambda t: np.multiply.outer(
+            np.eye(2)[row], c * (np.asarray(t, dtype=float) - traj.t_start))
+        bad = dataclasses.replace(sch, trajectory=dataclasses.replace(
+            traj, phases=lambda t: traj.phases(t) + drift(t)))
+        check = check_phase_consistency(bad)
+        assert not check["passed"]
+        assert check["max_rate_mismatch_over_omega"] == pytest.approx(1e-3, rel=1e-3)
+        deviation = compare_with_analytic(bad, ket(1))
+        assert deviation > ANALYTIC_TOL if general else deviation < ANALYTIC_TOL
 
     @settings(max_examples=20, deadline=None)
     @given(alpha0=st.floats(0.8, 1.2), beta0=st.floats(0.6, 1.2),
@@ -310,9 +330,8 @@ class TestStrategyA:
 
     def test_detuning_relation(self):
         sch = strategy_a(0.4, 30.0, 1.0)
-        beta = sch.trajectory.beta
         ts = np.linspace(0, 1, 50)
-        ref = -2.0 * 30.0 * np.sin(beta(ts)) ** 2
+        ref = -2.0 * 30.0 * np.sin(sch.trajectory.at(ts).beta) ** 2
         assert np.max(np.abs(sch.Delta_p(ts) - ref)) < 1e-12
 
     def test_invariance_at_smallest_calibrated_A(self):
@@ -353,9 +372,8 @@ class TestStrategyB:
         omega = 11.3369 * np.pi
         sch = strategy_b(0.5, omega, 1.0, 0.01)
         tn = sch.params["singular_times"][1]
-        f = sch.trajectory.beta
         assert complex(sch.Delta_p(tn)) == pytest.approx(
-            -2.0 * omega * np.sin(f(tn)) ** 2)
+            -2.0 * omega * np.sin(sch.trajectory.at(tn).beta) ** 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -395,9 +413,8 @@ class TestStrategyC:
 
     def test_beta_relation(self):
         sch = strategy_c(0.3, 1.0, 2)
-        beta = sch.trajectory.beta
         ts = sch.sample_times(40)
-        lhs = np.sin(-2.0 * beta(ts))
+        lhs = np.sin(-2.0 * sch.trajectory.at(ts).beta)
         rhs = 2.0 * np.sqrt(2.0) * 0.3 * np.cos(ts) ** 4
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -437,7 +454,7 @@ class TestCalibration:
         cal = solve_omega_T_for_A(0.45)
         omega = cal.value
         sch = strategy_a(0.45, omega, 1.0)
-        assert sch.trajectory.epsilon(1.0) == pytest.approx(np.pi, abs=1e-4)
+        assert sch.trajectory.at(1.0).epsilon == pytest.approx(np.pi, abs=1e-4)
 
     @pytest.mark.parametrize("A", [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
     def test_omega_T_for_A_near_simpson_root(self, A):
@@ -623,12 +640,12 @@ class TestSamplers:
         for sch, t in strategy_schedules(np.random.default_rng(21)):
             traj, omega = sch.trajectory, sch.omega
             h11, h12, h32, h33 = hamiltonian_entries(sch, t)
-            ref = -(2j * traj.beta_dot(t) + omega * np.sin(2.0 * traj.beta(t))) \
-                / (2.0 * SQRT2)
+            aux = traj.at(t)
+            ref = -(2j * aux.beta_dot + omega * np.sin(2.0 * aux.beta)) / (2.0 * SQRT2)
             if sch.params.get("neglect_imag"):
                 ref = ref.real
             assert np.max(np.abs(h12 - ref)) <= 1e-14 * omega
-            assert np.max(np.abs(h11 - (-omega + 2.0 * traj.epsilon_dot(t)))) \
+            assert np.max(np.abs(h11 - (-omega + 2.0 * aux.epsilon_dot))) \
                 <= 1e-14 * omega
             assert h32 is h12 and h33 is h11
 
