@@ -125,9 +125,9 @@ _COMMANDS = {
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the JSON config file, if one was given: a value
-    passes its option's kind (str for choices) on str(value), a switch takes a
-    bool, and a required flag is not a config key."""
+    """Fill unset options from the JSON config file, if one was given: str(value)
+    passes its option's kind (is one of its choices), a switch takes a bool,
+    and a required flag is not a config key."""
     path = args.config
     if not path:
         return args
@@ -154,6 +154,9 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             except ValueError:
                 raise ValueError(f"{path}: config key {key!r}: invalid "
                                  f"{parse.__name__} value {value!r}") from None
+            if isinstance(opt.kind, tuple) and value not in opt.kind:
+                raise ValueError(f"{path}: config key {key!r}: invalid choice "
+                                 f"{value!r} (choose from {', '.join(opt.kind)})")
         setattr(args, key, value)
     return args
 
@@ -178,8 +181,8 @@ def _fill_defaults(args, strategy=None) -> None:
 def build_schedule(args) -> tuple[PulseSchedule, dict, float, str]:
     """Schedule plus calibration info, output time scale, and time-unit label."""
     strategy = args.strategy
-    if strategy not in ("a", "b", "c"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy is None:
+        raise ValueError("missing required option --strategy")
     _fill_defaults(args, strategy)
     info: dict = {}
     if strategy in ("a", "b"):

@@ -1,17 +1,17 @@
 """Auxiliary-angle trajectories, inverse-engineered pulse schedules, and the
 three concrete design strategies with their calibration solvers.
 
-A trajectory fixes the invariant's angles over time; synthesize_general then
-yields the complex pump/Stokes envelopes and detunings that make the invariant
-exact. Strategies A, B and C share one reduced invariant (alpha = pi/4,
-lambda = 0, theta_dot = -omega): a strategy is a mixing angle beta, its
-derivative beta_dot and one sampler giving, from shared sines and cosines, the
-envelope (regular at the carrier zeros), Delta = -2*omega*sin(beta)^2 and
-cos(omega*t); pump and Stokes hold views of it (_reduced_schedule). Strategy A
-multiplies a smooth window by the squared carrier and evaluates the quotient
-in factored form; B takes the window alone and patches the singular quotient
-linearly around each carrier zero; C picks the envelope's real part first and
-solves beta backwards. The calibrations integrate sin(beta)^2 of the same beta.
+Every schedule is views of one sampler that maps times to its fields and
+cos(omega*t) (_schedule). synthesize_general samples a trajectory once for the
+pump/Stokes envelopes and detunings that realize it. Strategies A, B and C
+share one reduced invariant (alpha = pi/4, lambda = 0, theta_dot = -omega): a
+strategy is a mixing angle beta, its derivative beta_dot and a sampler giving,
+from shared sines and cosines, the envelope (regular at the carrier zeros) and
+Delta = -2*omega*sin(beta)^2 that pump and Stokes share. Strategy A multiplies
+a smooth window by the squared carrier and evaluates the quotient in factored
+form; B takes the window alone and patches the singular quotient linearly
+around each carrier zero; C picks the envelope's real part first and solves
+beta backwards. The calibrations integrate sin(beta)^2 of the same beta.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class PulseSchedule:
             if key not in calls:
                 calls[key] = fn.sampler(t) if view else fn(t)
             if view and fn.omega == self.omega:
-                carrier = calls[key][2]
+                carrier = calls[key][-1]
             samples.append(calls[key][fn.index] if view else calls[key])
         samples.append(np.cos(self.omega * t) if carrier is None else carrier)
         return tuple(x if getattr(x, "shape", None) == t.shape
@@ -216,6 +216,26 @@ class PulseSchedule:
                    fmt="%.12g", delimiter=",", comments="",
                    header="# " + json.dumps(self.header()) + "\n"
                    + ",".join(_SCHEDULE_COLUMNS))
+
+
+class _View:
+    """Output index of a schedule's sampler on omega."""
+
+    def __init__(self, sampler, index: int, omega: float):
+        self.sampler, self.index, self.omega = sampler, index, omega
+
+    def __call__(self, t):
+        return self.sampler(np.asarray(t, dtype=float))[self.index]
+
+
+def _schedule(strategy: str, params: dict, sampler: Callable, fields: tuple,
+              omega: float, traj: AuxiliaryTrajectory) -> PulseSchedule:
+    """Schedule of traj whose Omega_p, Omega_s, Delta_p and Delta_s read the
+    outputs fields of sampler, which maps float times to a tuple ending in
+    cos(omega*t); fields reading one output share one view."""
+    views = {i: _View(sampler, i, omega) for i in set(fields)}
+    return PulseSchedule(omega, *(views[i] for i in fields), traj.t_start,
+                         traj.t_end, strategy, params, traj)
 
 
 def _float_or_nan(cell: str) -> float:
@@ -306,103 +326,65 @@ class CalibrationResult:
 _CARRIER_ZERO_TOL = 1e-8
 
 
-def _branch(aux: AuxiliaryTrajectory, omega: float, pump: bool):
-    """Numerator of the envelope quotient and the detuning of the pump field,
-    or of the Stokes field, which swaps cos(alpha) and sin(alpha) and flips
-    the sign of the lam_dot terms; both are array closures."""
-    sign = 1.0 if pump else -1.0
-
-    def trig(a):
-        return (np.cos(a), np.sin(a)) if pump else (np.sin(a), np.cos(a))
-
-    def numerator(t):
-        p = aux.at(t)
-        c, s = trig(p.alpha)
-        common = 0.5 * c * (-2j * p.beta_dot
-                            + aux.theta_dot(t) * np.sin(2 * p.beta))
-        return (sign * 1j * p.lam_dot * np.exp(-1j * p.epsilon)
-                * s * np.sin(p.beta)) + common
-
-    def detuning(t):
-        p = aux.at(t)
-        a, b = p.alpha, p.beta
-        c, s = trig(a)
-        rhs = (-p.epsilon_dot * s ** 2
-               + aux.theta_dot(t) * (c ** 2 * np.sin(b) ** 2 - np.cos(b) ** 2)
-               - sign * p.lam_dot * np.sin(p.epsilon) * np.sin(2 * a) * np.cos(b))
-        return rhs - omega
-
-    return numerator, detuning
+def _general_fields(aux: AuxiliaryTrajectory, omega: float, t):
+    """Pump and Stokes envelope numerators, then pump and Stokes detunings, at
+    float times t from one sample of aux; Stokes swaps cos(alpha) and
+    sin(alpha) and flips the sign of the lam_dot terms."""
+    p, theta_dot = aux.at(t), aux.theta_dot(t)
+    ca, sa = np.cos(p.alpha), np.sin(p.alpha)
+    sb, cb = np.sin(p.beta), np.cos(p.beta)
+    swing = theta_dot * np.sin(2 * p.beta)
+    ee, se, s2a = np.exp(-1j * p.epsilon), np.sin(p.epsilon), np.sin(2 * p.alpha)
+    nums, deltas = [], []
+    for sign, c, s in ((1.0, ca, sa), (-1.0, sa, ca)):
+        common = 0.5 * c * (-2j * p.beta_dot + swing)
+        nums.append((sign * 1j * p.lam_dot * ee * s * sb) + common)
+        deltas.append(-p.epsilon_dot * s ** 2
+                      + theta_dot * (c ** 2 * sb ** 2 - cb ** 2)
+                      - sign * p.lam_dot * se * s2a * cb - omega)
+    return (*nums, *deltas)
 
 
 def synthesize_general(aux: AuxiliaryTrajectory, omega: float) -> PulseSchedule:
     """Envelopes and detunings on carrier omega realizing the given
-    trajectory exactly.
+    trajectory exactly, as views of one sampler of (Omega_p, Omega_s,
+    Delta_p, Delta_s, cos(omega*t)).
 
     The envelope is a quotient by the carrier cosine; trajectories whose
     numerator does not vanish at a carrier zero are rejected because they
     would need an unbounded pulse there.
     """
-    probe = np.linspace(aux.t_start, aux.t_end, 1001)
+    _check_carrier(omega)
+    numerators = lambda t: np.stack(_general_fields(aux, omega, t)[:2])
     zeros = carrier_singular_times(omega, aux.t_start, aux.t_end)
+    probe = np.abs(numerators(np.linspace(aux.t_start, aux.t_end, 1001)))
+    scale = np.maximum(np.max(probe, axis=-1), omega)
+    bad = np.argwhere(np.abs(numerators(zeros)) > 1e-7 * scale[:, None])
+    if bad.size:   # the pump's first, then the Stokes field's
+        raise SynthesisError(
+            f"{('pump', 'Stokes')[bad[0, 0]]} envelope is singular at "
+            f"t={zeros[bad[0, 1]]:.9g}: numerator does not vanish with the "
+            "carrier cosine")
 
-    def envelope_and_detuning(pump):
-        num, detuning = _branch(aux, omega, pump)
-        scale = max(float(np.max(np.abs(num(probe)))), omega)
-        bad = zeros[np.abs(num(zeros)) > 1e-7 * scale]
-        if bad.size:
-            raise SynthesisError(
-                f"{'pump' if pump else 'Stokes'} envelope is singular at "
-                f"t={bad[0]:.9g}: numerator does not vanish with the carrier cosine")
+    def sample(t):   # one trajectory sample a time
+        *nums, delta_p, delta_s = _general_fields(aux, omega, t)
+        c = np.cos(omega * t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            envelopes = np.asarray(np.stack(nums) / c, dtype=complex)
+        near = np.abs(c) < _CARRIER_ZERO_TOL
+        if np.any(near):   # the limit is evaluated beside carrier zeros only
+            tz = _nearest_carrier_zero(omega, t[near])
+            h = 1e-6 * TWO_PI / omega
+            envelopes[:, near] = central_diff(numerators, tz, h) \
+                / (-omega * np.sin(omega * tz))
+        return (*envelopes, delta_p, delta_s, c)
 
-        def envelope(t):
-            c = np.cos(omega * t)
-            near = np.abs(c) < _CARRIER_ZERO_TOL
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = np.asarray(num(t) / c, dtype=complex)
-            if np.any(near):
-                tz = _nearest_carrier_zero(omega, t)
-                lim = central_diff(num, tz, 1e-6 * TWO_PI / omega) \
-                    / (-omega * np.sin(omega * tz))
-                val = np.where(near, lim, val)
-            return val
-        return envelope, detuning
-
-    Omega_p, Delta_p = envelope_and_detuning(True)
-    Omega_s, Delta_s = envelope_and_detuning(False)
-    return PulseSchedule(
-        omega=omega, Omega_p=Omega_p, Omega_s=Omega_s,
-        Delta_p=Delta_p, Delta_s=Delta_s, t_start=aux.t_start, t_end=aux.t_end,
-        strategy="general", params={}, trajectory=aux)
+    return _schedule("general", {}, sample, (0, 1, 2, 3), omega, aux)
 
 
 # ---------------------------------------------------------------------------
 # strategies: one reduced invariant, a mixing angle and a regular envelope each
 # ---------------------------------------------------------------------------
-
-class _View:
-    """Output index (0 envelope, 1 detuning) of a strategy's sampler on omega."""
-
-    def __init__(self, sampler, index: int, omega: float):
-        self.sampler, self.index, self.omega = sampler, index, omega
-
-    def __call__(self, t):
-        return self.sampler(np.asarray(t, dtype=float))[self.index]
-
-
-def _reduced_schedule(strategy: str, params: dict, beta: Callable,
-                      beta_dot: Callable, sampler: Callable, omega: float,
-                      t_start: float, t_end: float) -> PulseSchedule:
-    """Schedule of the reduced trajectory of beta. sampler maps float times to
-    (envelope, Delta = -2 epsilon_dot, cos(omega*t)) from shared trig; pump
-    and Stokes get one view of the envelope and one of the detuning."""
-    traj = reduced_trajectory(beta, beta_dot, omega, t_start, t_end)
-    envelope, delta = _View(sampler, 0, omega), _View(sampler, 1, omega)
-    return PulseSchedule(
-        omega=omega, Omega_p=envelope, Omega_s=envelope,
-        Delta_p=delta, Delta_s=delta, t_start=t_start, t_end=t_end,
-        strategy=strategy, params=params, trajectory=traj)
-
 
 def _window(amp: float, T: float, name: str):
     """The window 0.5*amp*(1 - cos(2*pi*t/T)) and its derivative, amp in (0, 0.8]."""
@@ -452,8 +434,9 @@ def strategy_a(A: float, omega: float, T: float) -> PulseSchedule:
         envelope = -omega / (2.0 * SQRT2) * s2b_over_c - 1j / SQRT2 * bdot_over_c
         return envelope, -2.0 * omega * sb ** 2, c
 
-    return _reduced_schedule("a", {"A": A, "omega_T": omega * T},
-                             *_beta_a(f, fdot, omega), sample, omega, 0.0, T)
+    return _schedule("a", {"A": A, "omega_T": omega * T}, sample, (0, 0, 1, 1),
+                     omega, reduced_trajectory(*_beta_a(f, fdot, omega), omega,
+                                               0.0, T))
 
 
 def _bessel_j0(z):
@@ -598,10 +581,10 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
             val = val.real.astype(complex)
         return val, -2.0 * omega * np.sin(fv) ** 2, c
 
-    return _reduced_schedule(
+    return _schedule(
         "b", {"B": B, "omega_T": omega * T, "delta_t_over_T": delta_t / T,
               "neglect_imag": neglect_imag, "singular_times": singulars.tolist()},
-        f, fdot, sample, omega, 0.0, T)
+        sample, (0, 0, 1, 1), omega, reduced_trajectory(f, fdot, omega, 0.0, T))
 
 
 def solve_omega_T_for_B(B: float) -> CalibrationResult:
@@ -641,8 +624,6 @@ def _beta_c(kappa: float, omega: float):
 def strategy_c(Omega0: float, omega: float, n_periods: int) -> PulseSchedule:
     """Schedule with real envelope part Omega0 * cos(omega*t)^3, repeated for
     n_periods full carrier periods starting at t = pi / (2*omega)."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
     _check_carrier(omega)
     if not 0.0 <= Omega0 < omega * KAPPA_SUP:
         raise ValueError(
@@ -663,9 +644,10 @@ def strategy_c(Omega0: float, omega: float, n_periods: int) -> PulseSchedule:
         envelope = Omega0 * c * c * c + 1j * (-4.0 * Omega0 * c * c * s / root)
         return envelope, -omega * x / (1.0 + root), c
 
-    return _reduced_schedule(
+    return _schedule(
         "c", {"Omega0_over_omega": kappa, "n_periods": int(n_periods)},
-        *_beta_c(kappa, omega), sample, omega, t_start, t_end)
+        sample, (0, 0, 1, 1), omega,
+        reduced_trajectory(*_beta_c(kappa, omega), omega, t_start, t_end))
 
 
 def delta_epsilon_per_period(Omega0_over_omega: float) -> float:

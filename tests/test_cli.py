@@ -77,6 +77,13 @@ class TestUsageErrors:
         assert err.count("a config key cannot stand in for a required flag") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    def test_missing_strategy_named(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            "error: missing required option --strategy\n"
+        assert not out.exists()
+
     def test_no_tol_flag(self, tmp_path, capsys):
         # the calibrations solve to fixed tolerances; --tol is not an option
         out = tmp_path / "t.csv"
@@ -597,6 +604,18 @@ class TestConfigFile:
             assert "required: --out" in err
             assert "a config key cannot stand in for a required flag" in err
         assert not out.exists() and not (tmp_path / value).exists()
+
+    def test_unknown_strategy_names_the_file(self, tmp_path, capsys):
+        # like --strategy d, which argparse rejects, but naming the config file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strategy": "d"}))
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key 'strategy': invalid choice 'd' "
+            "(choose from a, b, c)\n")
+        assert not out.exists()
 
     def test_untyped_value_is_read_as_a_string(self, tmp_path, monkeypatch):
         # like the flag --summary 5, the config value 5 names the file "5"

@@ -199,15 +199,59 @@ def lambda_trajectory():
                               lam, lam_dot, t0, t1)
 
 
+def assert_carrier_zero_limit(sch):
+    """synthesize_general of sch's trajectory takes the quotient's limit at
+    and just beside each carrier zero: finite, and within 1e-7 of sch's own
+    envelope."""
+    omega = sch.omega
+    zeros = carrier_singular_times(omega, sch.t_start, sch.t_end)
+    ts = np.concatenate([zeros, zeros + 1e-12 / omega, zeros - 3e-9 / omega])
+    assert np.all(np.abs(np.cos(omega * ts)) < synthesis._CARRIER_ZERO_TOL)
+    general = synthesize_general(sch.trajectory, omega)
+    for field in ("Omega_p", "Omega_s"):
+        envelope = getattr(general, field)(ts)
+        assert np.all(np.isfinite(envelope))
+        assert np.max(np.abs(envelope - sch.Omega_p(ts))) < 1e-7
+
+
 class TestSynthesizeGeneral:
     def test_matches_strategy_a(self):
-        # the factored strategy-a envelope and the generic quotient must agree
+        # the factored strategy-a envelope and the generic quotient must
+        # agree, also where the quotient takes its limit at a carrier zero
         omega, T, A = 30.0, 1.0, 0.5
         sch_a = strategy_a(A, omega, T)
         sch_g = synthesize_general(sch_a.trajectory, omega)
         ts = np.linspace(0.013, T - 0.013, 401)
         assert np.max(np.abs(sch_a.Omega_p(ts) - sch_g.Omega_p(ts))) < 1e-7
         assert np.max(np.abs(sch_a.Delta_p(ts) - sch_g.Delta_p(ts))) < 1e-9
+        assert_carrier_zero_limit(sch_a)
+
+    def test_carrier_zero_limit_matches_strategy_c(self):
+        assert_carrier_zero_limit(strategy_c(0.3, 1.0, 2))
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0])
+    def test_carrier_checked_first(self, omega):
+        with pytest.raises(ValueError, match="^carrier frequency must be"):
+            synthesize_general(lambda_trajectory(), omega)
+
+    def test_one_trajectory_sample_per_call(self):
+        # the four fields are views of one sampler, which reads the
+        # trajectory's angles and phase rate once a call
+        traj, calls = lambda_trajectory(), {"at": 0, "theta_dot": 0}
+
+        def counted(name):
+            fn = getattr(traj, name)
+
+            def wrapper(t):
+                calls[name] += 1
+                return fn(t)
+            return wrapper
+
+        sch = synthesize_general(dataclasses.replace(
+            traj, at=counted("at"), theta_dot=counted("theta_dot")), 2 * np.pi)
+        calls.update(at=0, theta_dot=0)
+        sch.sample(np.linspace(sch.t_start, sch.t_end, 11))
+        assert calls == {"at": 1, "theta_dot": 1}
 
     def test_rejects_unremovable_singularity(self):
         # a mixing angle without the squared-carrier factor leaves the
