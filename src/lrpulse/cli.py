@@ -267,12 +267,10 @@ def cmd_synth(args) -> int:
     _atomic_write(args.out,
                   lambda tmp: schedule.write_csv(tmp, spp, time_scale))
     written = [args.out]
-    if schedule.strategy == "b" and schedule.params.get("neglect_imag"):
+    if args.neglect_imag:
         # emit the unmodified-imaginary-part variant alongside for comparison
-        base = strategy_b(schedule.params["B"], schedule.omega,
-                          schedule.t_end,
-                          schedule.params["delta_t_over_T"] * schedule.t_end,
-                          neglect_imag=False)
+        base = strategy_b(args.B, schedule.omega, args.T,
+                          args.delta_t_over_T * args.T, neglect_imag=False)
         root, ext = os.path.splitext(args.out)
         alt = root + ".withimag" + ext
         _atomic_write(alt, lambda tmp: base.write_csv(tmp, spp, time_scale))
@@ -314,7 +312,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     schedule, info, _, _ = build_schedule(args)
-    csv = load_schedule_csv(args.schedule) if args.schedule else None
+    csv = load_schedule_csv(args.schedule)[1] if args.schedule else None
     result = run_verification(schedule, csv=csv,
                               steps_per_period=args.steps_per_period)
     result.update(info)

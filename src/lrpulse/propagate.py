@@ -3,13 +3,14 @@
 The stiffest timescale is the known carrier frequency, so the step is a
 fixed fraction of the carrier period. No renormalization is applied during
 integration; norm drift is reported as an integrator-health diagnostic.
-RK4 runs on the propagators of all step blocks at once, so record_stride
-moves the states only at round-off (<= 1e-13); identical configurations
-still give bit-identical outputs. H is sampled once, in the layout the blocks
-read, and one stage function gives H x to all four RK4 stages. Where pump and
-Stokes agree in value, RK4 runs on the dark state (|1> - |3>)/sqrt2 and the
-bright block apart (Morris-Shore); the blocks between records are folded, and
-only records chained. The analytic comparisons start at the run's first state.
+A run records its state ten times per carrier period and after its last
+step, so identical schedules, psi0 and steps per period give bit-identical
+states. RK4 runs on the propagators of all step blocks at once; H is sampled
+once, in the layout the blocks read, and one stage function gives H x to all
+four RK4 stages. Where pump and Stokes agree in value, RK4 runs on the dark
+state (|1> - |3>)/sqrt2 and the bright block apart (Morris-Shore); the blocks
+between records are folded, and only records chained. The analytic
+comparisons start at the run's first state.
 """
 
 from __future__ import annotations
@@ -31,19 +32,14 @@ class PropagationConfig:
     """Resolution and recording settings for a single propagation."""
 
     steps_per_carrier_period: int = 2000
-    record_stride: int | None = None   # steps between samples; default 10/period
     record_states: bool = False
 
     def __post_init__(self):
-        spp, stride = self.steps_per_carrier_period, self.record_stride
-        for name, value in (("steps_per_carrier_period", spp),
-                            ("record_stride", 1 if stride is None else stride)):
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        spp = self.steps_per_carrier_period
+        if isinstance(spp, bool) or not isinstance(spp, Integral):
+            raise ValueError(f"steps_per_carrier_period must be an integer, not {spp!r}")
         if spp < 100:
             raise ValueError("steps_per_carrier_period must be at least 100")
-        if stride is not None and stride < 1:
-            raise ValueError("record_stride must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
     n_steps = max(1, int(np.ceil((t1 - t0) / (TWO_PI / schedule.omega)
                                  * cfg.steps_per_carrier_period)))
     dt = (t1 - t0) / n_steps
-    stride = cfg.record_stride or max(1, cfg.steps_per_carrier_period // 10)
+    stride = cfg.steps_per_carrier_period // 10   # steps between records
     # blocks of L steps, L the largest divisor of stride up to sqrt(n_steps)/8:
     # that balances the L passes of array RK4 against folding n_steps/L blocks
     L = max(k for k in range(1, min(stride, isqrt(n_steps // 64) or 1) + 1)

@@ -56,12 +56,12 @@ _SCHEDULE_COLUMNS = ("t", "re_omega_p", "im_omega_p", "re_omega_s", "im_omega_s"
 class AuxiliaryTrajectory:
     """Auxiliary angles and accumulated branch phases on [t_start, t_end].
 
-    Each callable takes scalar or array times: at gives the AuxParams of the
-    angles and their derivatives, theta_dot the invariant's phase-rate
-    parameter, and phases the stacked (theta_pm, theta_0) picked up since
-    t_start by the +1 and -1 eigenvectors, which share one, and by the 0
-    eigenvector. Under the schedule of synthesize_general their rates
-    <phi_k| i d/dt - H |phi_k> are -theta_dot cos(beta)^2 and
+    at and phases take scalar or array times: at gives the AuxParams of the
+    angles and their derivatives, and phases the stacked (theta_pm, theta_0)
+    picked up since t_start by the +1 and -1 eigenvectors, which share one,
+    and by the 0 eigenvector. theta_dot maps the AuxParams of at to the
+    invariant's phase-rate parameter. Under the schedule of synthesize_general
+    the rates <phi_k| i d/dt - H |phi_k> are -theta_dot cos(beta)^2 and
     theta_dot sin(beta)^2.
     """
 
@@ -102,8 +102,8 @@ def reduced_trajectory(beta: Callable, beta_dot: Callable, omega: float,
         return np.stack([omega * (np.asarray(t, dtype=float) - t_start) - e, -e])
 
     return AuxiliaryTrajectory(
-        at=at, theta_dot=lambda t: np.full(np.shape(t), -omega), phases=phases,
-        t_start=t_start, t_end=t_end)
+        at=at, theta_dot=lambda p: np.full(np.shape(p.beta), -omega),
+        phases=phases, t_start=t_start, t_end=t_end)
 
 
 def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
@@ -132,7 +132,7 @@ def general_trajectory(alpha0: float, beta: Callable, beta_dot: Callable,
                                             np.sin(p.beta) ** 2])
 
     return AuxiliaryTrajectory(
-        at=at, theta_dot=lambda t: lr_phase_rate(at(t)),
+        at=at, theta_dot=lr_phase_rate,
         phases=RunningIntegral(rates, t_start, t_end, _GENERAL_TRAJECTORY_CELLS),
         t_start=t_start, t_end=t_end)
 
@@ -313,7 +313,6 @@ def _nearest_carrier_zero(omega: float, t):
 class CalibrationResult:
     """Outcome of a calibration solve."""
 
-    input_value: float
     value: float
     residual: float
     iterations: int
@@ -330,7 +329,8 @@ def _general_fields(aux: AuxiliaryTrajectory, omega: float, t):
     """Pump and Stokes envelope numerators, then pump and Stokes detunings, at
     float times t from one sample of aux; Stokes swaps cos(alpha) and
     sin(alpha) and flips the sign of the lam_dot terms."""
-    p, theta_dot = aux.at(t), aux.theta_dot(t)
+    p = aux.at(t)
+    theta_dot = aux.theta_dot(p)
     ca, sa = np.cos(p.alpha), np.sin(p.alpha)
     sb, cb = np.sin(p.beta), np.cos(p.beta)
     swing = theta_dot * np.sin(2 * p.beta)
@@ -536,7 +536,7 @@ def solve_omega_T_for_A(A: float) -> CalibrationResult:
     # cache size counts the quadratures
     g = functools.cache(lambda u: eps_total(u) - np.pi)
     root, _ = find_root(g, Bracket(lo, hi), tol=_OMEGA_T_TOL)
-    return CalibrationResult(input_value=A, value=root, residual=abs(g(root)),
+    return CalibrationResult(value=root, residual=abs(g(root)),
                              iterations=g.cache_info().currsize)
 
 
@@ -600,8 +600,7 @@ def solve_omega_T_for_B(B: float) -> CalibrationResult:
         raise CalibrationError("no omega*T bracket found in search range")
     eps = value * integrate(lambda s: np.sin(f(s)) ** 2, 0.0, 1.0,
                             _CALIBRATION_CELLS_PER_PERIOD)
-    return CalibrationResult(input_value=B, value=value,
-                             residual=abs(eps - np.pi), iterations=1)
+    return CalibrationResult(value=value, residual=abs(eps - np.pi), iterations=1)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +667,7 @@ def calibrate_strategy_c(target_delta_epsilon: float) -> CalibrationResult:
     if not np.isfinite(target_delta_epsilon):
         raise ValueError("target delta epsilon must be a finite number")
     if target_delta_epsilon == 0.0:
-        return CalibrationResult(0.0, 0.0, 0.0, 0)
+        return CalibrationResult(0.0, 0.0, 0)
     hi = KAPPA_SUP * (1.0 - 1e-12)
     g = functools.cache(lambda k: delta_epsilon_per_period(k) - target_delta_epsilon)
     if not (target_delta_epsilon > 0.0 and g(hi) >= 0.0):
@@ -676,6 +675,5 @@ def calibrate_strategy_c(target_delta_epsilon: float) -> CalibrationResult:
                                f"range (0, {delta_epsilon_per_period(hi):.6g}]")
     root, _ = find_root(g, Bracket(0.0, hi), tol=_KAPPA_TOL)
     # iterations counts the quadratures: g(0) = -target needs none
-    return CalibrationResult(input_value=target_delta_epsilon, value=root,
-                             residual=abs(g(root)),
+    return CalibrationResult(value=root, residual=abs(g(root)),
                              iterations=g.cache_info().currsize - 1)

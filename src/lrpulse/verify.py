@@ -174,10 +174,10 @@ def check_file_invariance(schedule: PulseSchedule, data: np.ndarray) -> dict:
             "passed": bool(worst < RESIDUAL_TOL_OVER_OMEGA)}
 
 
-def run_verification(schedule: PulseSchedule, csv: tuple | None = None,
+def run_verification(schedule: PulseSchedule, csv: np.ndarray | None = None,
                      steps_per_period: int = 2000) -> dict:
-    """All checks for one schedule; csv is an optional (meta, data) pair from
-    load_schedule_csv to validate a serialized copy."""
+    """All checks for one schedule; csv is an optional record array of rows
+    from load_schedule_csv, to validate a serialized copy."""
     checks = {
         "spectrum": check_spectrum(schedule),
         "invariance": check_invariance(schedule),
@@ -186,7 +186,7 @@ def run_verification(schedule: PulseSchedule, csv: tuple | None = None,
                                                        steps_per_period),
     }
     if csv is not None:
-        checks["file_invariance"] = check_file_invariance(schedule, csv[1])
+        checks["file_invariance"] = check_file_invariance(schedule, csv)
     return {
         "schema_version": 1,
         "schedule": schedule.header(),

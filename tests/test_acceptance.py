@@ -114,7 +114,7 @@ def test_criterion_5_strategy_c_calibration_and_timing():
     per = delta_epsilon_per_period(cal.value)
     if round(np.pi / per) != 6:
         failures.append(f"pi / per-period increment = {np.pi / per:.3f}, not 6")
-    full = propagate(sch, ket(1), PropagationConfig(record_stride=5))
+    full = propagate(sch, ket(1))
     if full.final_p3 < 0.9999:
         failures.append(f"six-period transfer incomplete: p3={full.final_p3:.6f}")
 

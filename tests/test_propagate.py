@@ -30,21 +30,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             PropagationConfig(steps_per_carrier_period=10)
 
-    def test_bad_stride(self):
-        with pytest.raises(ValueError):
-            PropagationConfig(record_stride=0)
-
     @pytest.mark.parametrize("field,value", [
-        ("record_stride", 2.5), ("steps_per_carrier_period", 150.5),
-        ("record_stride", True), ("steps_per_carrier_period", "200")])
+        ("steps_per_carrier_period", 150.5),
+        ("steps_per_carrier_period", True), ("steps_per_carrier_period", "200")])
     def test_non_integer_rejected(self, field, value):
         # rejected at construction, not deep inside propagate
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             PropagationConfig(**{field: value})
 
     def test_numpy_integers_accepted(self):
-        cfg = PropagationConfig(steps_per_carrier_period=np.int64(100),
-                                record_stride=np.int32(10))
+        cfg = PropagationConfig(steps_per_carrier_period=np.int64(100))
         report = propagate(zero_schedule(n_periods=1), ket(1), cfg)
         assert report.steps == 100 and len(report.times) == 11
         assert json.loads(json.dumps(report.summary()))[
@@ -95,9 +90,10 @@ class TestPropagate:
                 steps_per_carrier_period=100))
 
     def test_non_finite_error_names_earliest_time(self):
-        # 6400 steps of 0.01 at stride 10 run in blocks of L = 10 steps, 21
-        # half-step rows each; NaN from half-step 75 (block 3, row 15) and
-        # from half-step 204 (block 10, row 4), the later one at the lower row
+        # 6400 steps of 0.01, recorded every 10, run in blocks of L = 10
+        # steps, 21 half-step rows each; NaN from half-step 75 (block 3,
+        # row 15) and from half-step 204 (block 10, row 4), the later one at
+        # the lower row
         base = zero_schedule(omega=TWO_PI, n_periods=64)
         dt = (base.t_end - base.t_start) / 6400
         starts = [base.t_start + 0.5 * dt * k for k in (75, 204)]
@@ -112,7 +108,7 @@ class TestPropagate:
         bad = dataclasses.replace(base, Omega_p=omega_p)
         with pytest.raises(PropagationError) as info:
             propagate(bad, ket(1), PropagationConfig(
-                steps_per_carrier_period=100, record_stride=10))
+                steps_per_carrier_period=100))
         t_reported = float(str(info.value).split("t=")[1].split("(")[-1]
                            .rstrip(")"))
         assert t_reported == starts[0]
@@ -130,8 +126,7 @@ class TestPropagate:
     def test_recording(self):
         sch = zero_schedule()
         report = propagate(sch, ket(2), PropagationConfig(
-            steps_per_carrier_period=200, record_stride=50,
-            record_states=True))
+            steps_per_carrier_period=200, record_states=True))
         assert report.times[0] == sch.t_start
         assert report.times[-1] == pytest.approx(sch.t_end)
         assert report.states is not None
@@ -158,29 +153,33 @@ def test_scalar_closures_broadcast():
 
 
 def test_stride_past_the_run_folds_only_its_blocks():
-    # a stride far beyond the 100-step run records its two ends; the fold
-    # visits only the blocks there are, not stride/L - 1 empty slices (4 s)
+    # a run of 2e-6 of a period at 10^9 steps per period takes ~2000 steps,
+    # far fewer than its record interval of 10^8, and records its two ends;
+    # the fold visits only the 400 blocks there are, not stride/L - 1 = 2e7
+    # slices (over a minute)
     sch = strategy_c(0.3, 1.0, 1)
+    sch = dataclasses.replace(
+        sch, t_end=sch.t_start + 2e-6 * (sch.t_end - sch.t_start))
+    cfg = PropagationConfig(steps_per_carrier_period=10**9, record_states=True)
     start = time.perf_counter()
-    report = propagate(sch, ket(1), PropagationConfig(
-        steps_per_carrier_period=100, record_stride=10**6, record_states=True))
+    report = propagate(sch, ket(1), cfg)
     elapsed = time.perf_counter() - start
-    whole = propagate(sch, ket(1), PropagationConfig(
-        steps_per_carrier_period=100, record_stride=100, record_states=True))
+    times, states = scalar_rk4(sch, ket(1), cfg)
     assert elapsed < 1.0
-    assert np.array_equal(report.times, whole.times)
-    assert np.allclose(report.states, whole.states, rtol=0, atol=1e-13)
+    assert len(report.times) == 2 and report.times[0] == sch.t_start
+    assert np.array_equal(report.times, times)
+    assert np.max(np.abs(report.states - states)) <= 1e-12
 
 
 def scalar_rk4(schedule, psi0, cfg):
     """Reference: one Python iteration per RK4 step on scalar amplitudes,
-    recording every record_stride steps and after the last. Returns
+    recording ten times per carrier period and after the last step. Returns
     (times, states)."""
     t0, t1 = schedule.t_start, schedule.t_end
     n_steps = max(1, int(np.ceil((t1 - t0) / (TWO_PI / schedule.omega)
                                  * cfg.steps_per_carrier_period)))
     dt = (t1 - t0) / n_steps
-    stride = cfg.record_stride or max(1, cfg.steps_per_carrier_period // 10)
+    stride = cfg.steps_per_carrier_period // 10
     grid = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
     a, p, s, d = (arr.tolist() for arr in hamiltonian_entries(schedule, grid))
 
@@ -224,22 +223,20 @@ def oracle_schedule(strategy):
 @settings(max_examples=60, deadline=None)
 @given(strategy=st.sampled_from(["a", "b", "c", "stokes", "detuning"]),
        spp=st.integers(100, 400),
-       stride=st.sampled_from([1, 7, 10 ** 6, None]),
        window=st.one_of(st.none(), st.tuples(st.floats(0.0, 0.5),
                                              st.floats(0.5, 1.0))),
        psi0=st.sampled_from([ket(1), ket(3),
                              np.array([0.6, 0.8j, 0.0])]))
-def test_matches_scalar_loop(strategy, spp, stride, window, psi0):
+def test_matches_scalar_loop(strategy, spp, window, psi0):
     # the block-vectorized integrator reorders rounding only: partial last
-    # blocks, a stride above n_steps and sub-windows included, on the
-    # bright/dark split and on the 3x3 block
+    # blocks and sub-windows included, on the bright/dark split and on the
+    # 3x3 block
     sch = oracle_schedule(strategy)
     if window is not None:
         span = sch.t_end - sch.t_start
         sch = dataclasses.replace(sch, t_start=sch.t_start + window[0] * span,
                                   t_end=sch.t_start + window[1] * span)
-    cfg = PropagationConfig(steps_per_carrier_period=spp, record_stride=stride,
-                            record_states=True)
+    cfg = PropagationConfig(steps_per_carrier_period=spp, record_states=True)
     report = propagate(sch, psi0, cfg)
     times, states = scalar_rk4(sch, psi0, cfg)
     assert np.array_equal(report.times, times)

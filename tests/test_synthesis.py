@@ -184,11 +184,16 @@ class TestReducedTrajectory:
         assert traj.phases(t)[1] == pytest.approx(-eps)
 
 
-def lambda_trajectory():
+def lambda_trajectory(beta_calls=None):
     """A trajectory with nonconstant lambda on [0.3, 0.7], a window free of
-    the zeros of cos(2*pi*t)."""
+    the zeros of cos(2*pi*t); beta appends its times to beta_calls, if given."""
     t0, t1 = 0.3, 0.7
-    beta = lambda t: 0.9 + 0.2 * np.sin(np.pi * (np.asarray(t) - t0) / (t1 - t0))
+
+    def beta(t):
+        if beta_calls is not None:
+            beta_calls.append(t)
+        return 0.9 + 0.2 * np.sin(np.pi * (np.asarray(t) - t0) / (t1 - t0))
+
     beta_dot = lambda t: 0.2 * np.pi / (t1 - t0) \
         * np.cos(np.pi * (np.asarray(t) - t0) / (t1 - t0))
     eps = lambda t: 0.5 * (np.asarray(t) - t0)
@@ -253,6 +258,20 @@ class TestSynthesizeGeneral:
         sch.sample(np.linspace(sch.t_start, sch.t_end, 11))
         assert calls == {"at": 1, "theta_dot": 1}
 
+    def test_one_beta_read_per_sample(self):
+        # theta_dot reads the AuxParams that at returned, so one sample calls
+        # the trajectory's own beta (in at and in alpha's running integral)
+        # as often as one at(t) does, not twice as often
+        calls = []
+        sch = synthesize_general(lambda_trajectory(calls), 2 * np.pi)
+        ts = np.linspace(sch.t_start, sch.t_end, 11)
+        calls.clear()
+        sch.trajectory.at(ts)
+        per_read = len(calls)
+        calls.clear()
+        sch.sample(ts)
+        assert per_read >= 1 and len(calls) == per_read
+
     def test_rejects_unremovable_singularity(self):
         # a mixing angle without the squared-carrier factor leaves the
         # envelope quotient unbounded at the carrier zeros
@@ -276,7 +295,7 @@ class TestSynthesizeGeneral:
         # the 0 branch phase's integrand calls alpha, itself a running
         # integral, on the outer rule's 2-D array of nodes
         traj = lambda_trajectory()
-        rate = lambda u: traj.theta_dot(u) * np.sin(traj.at(u).beta) ** 2
+        rate = lambda u: traj.theta_dot(traj.at(u)) * np.sin(traj.at(u).beta) ** 2
         ref = simpson(rate, 0.3, 0.7, 2 ** 12)
         assert abs(traj.phases(0.7)[1] - ref) < 1e-10
 
