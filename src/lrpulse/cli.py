@@ -100,7 +100,8 @@ _STRATEGY = (
     _TARGET,
     _Option("n_periods", int, 6, "c", "carrier periods"),
 )
-_STEPS = _Option("steps_per_period", int, 2000, help="RK4 steps per carrier period")
+_STEPS = _Option("steps_per_period", int, PropagationConfig.steps_per_carrier_period,
+                 help="RK4 steps per carrier period")
 
 # command: (help, options); the handler is cmd_<command with - as _>
 _COMMANDS = {
@@ -124,18 +125,20 @@ _COMMANDS = {
 }
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the JSON config file, if one was given: str(value)
-    passes its option's kind (is one of its choices), a switch takes a bool,
-    and a required flag is not a config key."""
-    path = args.config
-    if not path:
-        return args
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Set every option of the command before it runs. An unset option takes
+    its key in the JSON config file, if one was given, then its default if it
+    applies to --strategy (every option does, if there is no strategy); a
+    given option, flag or config key, that does not apply is an error. A
+    config value passes its option's kind as str(value) (is one of its
+    choices), a switch takes a bool, and a required flag is not a key."""
+    path, cfg = args.config, {}
     options = {opt.name: opt for opt in _COMMANDS[args.command][1]}
+    if path:
+        with open(path) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
     for key, value in cfg.items():
         opt = options.get(key)
         if opt is None:
@@ -158,13 +161,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
                 raise ValueError(f"{path}: config key {key!r}: invalid choice "
                                  f"{value!r} (choose from {', '.join(opt.kind)})")
         setattr(args, key, value)
-    return args
-
-
-def _fill_defaults(args, strategy=None) -> None:
-    """Default each unset option that applies to strategy (any, if None); a
-    given option, flag or config key, that does not apply is an error."""
-    for opt in _COMMANDS[args.command][1]:
+    strategy = getattr(args, "strategy", None)
+    for opt in options.values():
         value = getattr(args, opt.name)
         if strategy is None or strategy in opt.strategies:
             if value is None:
@@ -172,6 +170,7 @@ def _fill_defaults(args, strategy=None) -> None:
         elif value is not None and value is not False:   # a false switch is not given
             raise ValueError(f"option {opt.flag} does not apply to "
                              f"--strategy {strategy}")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +182,6 @@ def build_schedule(args) -> tuple[PulseSchedule, dict, float, str]:
     strategy = args.strategy
     if strategy is None:
         raise ValueError("missing required option --strategy")
-    _fill_defaults(args, strategy)
     info: dict = {}
     if strategy in ("a", "b"):
         param_name = "A" if strategy == "a" else "B"
@@ -215,15 +213,17 @@ def build_schedule(args) -> tuple[PulseSchedule, dict, float, str]:
     if args.Omega0_over_omega is not None:
         kappa = args.Omega0_over_omega
     else:
-        target = args.target_delta_epsilon
-        cal = calibrate_strategy_c(target)
-        kappa = cal.value
-        info["calibration"] = {"Omega0_over_omega": kappa,
-                               "target_delta_epsilon": target,
-                               "residual": cal.residual,
-                               "iterations": cal.iterations}
+        info["calibration"] = _calibrate_c(args.target_delta_epsilon)
+        kappa = info["calibration"]["Omega0_over_omega"]
     schedule = strategy_c(kappa * omega, omega, args.n_periods)
     return schedule, info, 0.5 * np.pi / omega, "t/(pi/2w)"
+
+
+def _calibrate_c(target: float) -> dict:
+    """The strategy-c calibration to target, as a summary or report holds it."""
+    cal = calibrate_strategy_c(target)
+    return {"Omega0_over_omega": cal.value, "target_delta_epsilon": target,
+            "residual": cal.residual, "iterations": cal.iterations}
 
 
 def _envelope_summary(schedule: PulseSchedule) -> dict:
@@ -313,8 +313,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     schedule, info, _, _ = build_schedule(args)
     csv = load_schedule_csv(args.schedule)[1] if args.schedule else None
-    result = run_verification(schedule, csv=csv,
-                              steps_per_period=args.steps_per_period)
+    cfg = PropagationConfig(steps_per_carrier_period=args.steps_per_period)
+    result = run_verification(schedule, csv=csv, cfg=cfg)
     result.update(info)
     if args.out:
         _write_json(args.out, result)
@@ -330,16 +330,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_calibrate_c(args) -> int:
-    _fill_defaults(args)
-    target = args.target_delta_epsilon
-    cal = calibrate_strategy_c(target)
-    out = {"schema_version": 1, "target_delta_epsilon": target,
-           "Omega0_over_omega": cal.value, "residual": cal.residual,
-           "iterations": cal.iterations}
+    cal = _calibrate_c(args.target_delta_epsilon)
     if args.out:
-        _write_json(args.out, out)
-    print(f"Omega0/omega = {cal.value:.10f} "
-          f"(residual {cal.residual:.3g}, {cal.iterations} iterations)")
+        _write_json(args.out, {"schema_version": 1, **cal})
+    print(f"Omega0/omega = {cal['Omega0_over_omega']:.10f} "
+          f"(residual {cal['residual']:.3g}, {cal['iterations']} iterations)")
     return EXIT_OK
 
 
@@ -385,7 +380,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     try:
-        args = _merge_config(parser.parse_args(argv))
+        args = _resolve(parser.parse_args(argv))
         return args.func(args)
     except (ValueError, json.JSONDecodeError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

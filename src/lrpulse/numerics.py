@@ -153,8 +153,6 @@ class RunningIntegral:
         if not t_end > t_start:
             raise ValueError("t_end must exceed t_start")
         self._f = f
-        self.t_start = t_start
-        self.t_end = t_end
         self._edges = np.linspace(t_start, t_end, n_cells + 1)
         cell = _gauss_legendre(f, self._edges[:-1], self._edges[1:])
         self._cum = np.cumsum(np.insert(cell, 0, 0.0, axis=-1), axis=-1)

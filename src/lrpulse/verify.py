@@ -130,16 +130,15 @@ def check_phase_consistency(schedule: PulseSchedule) -> dict:
 
 
 def check_analytic_agreement(schedule: PulseSchedule,
-                             steps_per_period: int = 2000) -> dict:
-    """RK4 from |1> versus the eigenbasis expansion with the trajectory's
-    three branch phases, componentwise after phase alignment. Skipped for
-    patched schedules, whose invariance is broken inside the modification
-    intervals by construction."""
+                             cfg: PropagationConfig | None = None) -> dict:
+    """RK4 with cfg from |1> versus the eigenbasis expansion with the
+    trajectory's three branch phases, componentwise after phase alignment.
+    Skipped for patched schedules, whose invariance is broken inside the
+    modification intervals by construction."""
     if schedule.strategy == "b":
         return {"skipped": "patched schedule has no exact expansion",
                 "passed": True}
-    dev = compare_with_analytic(schedule, ket(1), PropagationConfig(
-        steps_per_carrier_period=steps_per_period))
+    dev = compare_with_analytic(schedule, ket(1), cfg)
     return {"max_deviation": dev, "passed": bool(dev < ANALYTIC_TOL)}
 
 
@@ -175,15 +174,14 @@ def check_file_invariance(schedule: PulseSchedule, data: np.ndarray) -> dict:
 
 
 def run_verification(schedule: PulseSchedule, csv: np.ndarray | None = None,
-                     steps_per_period: int = 2000) -> dict:
-    """All checks for one schedule; csv is an optional record array of rows
-    from load_schedule_csv, to validate a serialized copy."""
+                     cfg: PropagationConfig | None = None) -> dict:
+    """All checks for one schedule, RK4 with cfg; csv is an optional record
+    array of rows from load_schedule_csv, to validate a serialized copy."""
     checks = {
         "spectrum": check_spectrum(schedule),
         "invariance": check_invariance(schedule),
         "lr_phase_consistency": check_phase_consistency(schedule),
-        "analytic_agreement": check_analytic_agreement(schedule,
-                                                       steps_per_period),
+        "analytic_agreement": check_analytic_agreement(schedule, cfg),
     }
     if csv is not None:
         checks["file_invariance"] = check_file_invariance(schedule, csv)

@@ -14,8 +14,11 @@ Hamiltonian entries on 20,001 times (plus, for the general schedules, the
 carrier zeros and times just beside them), the propagate states, times and
 norms, and the run_verification JSON; analytic_evolution for a, c and
 lambda; and every file, stdout, stderr and exit code of the README command
-block, run in-process in a temporary directory. It needs only the standard
-library, numpy and lrpulse, and pytest does not collect it.
+block, run in-process in a temporary directory, and of each SESSIONS run,
+run in-process in a temporary directory of its own with its config file, if
+any, as cfg.json: config keys and flags together, defaults and the errors of
+option resolution. It needs only the standard library, numpy and lrpulse,
+and pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -130,22 +133,72 @@ def readme_commands():
             yield shlex.split(line)[1:]
 
 
-def readme_lines():
+# name: (config file content or None, argv), run with relative paths
+SESSIONS = {
+    "synth_config_flag_override": (
+        {"strategy": "c", "Omega0_over_omega": 0.3, "n_periods": 4},
+        ["synth", "--config", "cfg.json", "--n-periods", "2",
+         "--out", "s.csv", "--summary", "s.json"]),
+    "simulate_config_steps": (
+        {"strategy": "c", "Omega0_over_omega": 0.3, "n_periods": 1,
+         "steps_per_period": 300},
+        ["simulate", "--config", "cfg.json", "--out", "p.csv",
+         "--summary", "p.json"]),
+    "verify_steps_flag": (
+        None, ["verify", "--strategy", "c", "--n-periods", "1",
+               "--steps-per-period", "300", "--out", "v.json"]),
+    "calibrate_c_config": (
+        {"target_delta_epsilon": 0.5, "out": "c.json"},
+        ["calibrate-c", "--config", "cfg.json"]),
+    "inapplicable_flag": (
+        {"strategy": "c"}, ["synth", "--config", "cfg.json", "--A", "0.5",
+                            "--out", "s.csv"]),
+    "missing_strategy": (None, ["synth", "--out", "s.csv"]),
+    "config_not_object": ([1, 2], ["synth", "--config", "cfg.json",
+                                   "--out", "s.csv"]),
+    "required_flag_as_key": (
+        {"strategy": "c", "out": "x.csv"},
+        ["synth", "--config", "cfg.json", "--out", "s.csv"]),
+}
+
+
+def cli_lines(label, argv, tmp):
+    """Exit code, stdout and stderr of cli.main(argv), run in tmp, and every
+    file in tmp afterwards."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    yield f"{label}.exit", digest(str(code))
+    yield f"{label}.stdout", digest(out.getvalue())
+    yield f"{label}.stderr", digest(err.getvalue())
+    for path in sorted(Path(tmp).iterdir()):
+        yield f"{label}.file.{path.name}", digest(path.read_bytes())
+
+
+@contextlib.contextmanager
+def scratch_dir():
+    """A new temporary directory, the working directory while in use."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for n, argv in enumerate(readme_commands()):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(argv)
-                yield f"readme.{n}.exit", digest(str(code))
-                yield f"readme.{n}.stdout", digest(out.getvalue())
-                yield f"readme.{n}.stderr", digest(err.getvalue())
-                for path in sorted(Path(tmp).iterdir()):
-                    yield f"readme.{n}.file.{path.name}", digest(path.read_bytes())
+            yield tmp
         finally:
             os.chdir(cwd)
+
+
+def readme_lines():
+    with scratch_dir() as tmp:
+        for n, argv in enumerate(readme_commands()):
+            yield from cli_lines(f"readme.{n}", argv, tmp)
+
+
+def session_lines():
+    for name, (config, argv) in SESSIONS.items():
+        with scratch_dir() as tmp:
+            if config is not None:
+                Path(tmp, "cfg.json").write_text(json.dumps(config))
+            yield from cli_lines(f"session.{name}", argv, tmp)
 
 
 def main() -> int:
@@ -156,7 +209,7 @@ def main() -> int:
             lines += analytic_lines(name, sch)
         for label, value in lines:
             print(label, value)
-    for label, value in readme_lines():
+    for label, value in [*readme_lines(), *session_lines()]:
         print(label, value)
     return 0
 

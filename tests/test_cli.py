@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lrpulse import solve_omega_T_for_A
 from lrpulse.cli import (EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK,
-                         EXIT_VALIDATION, main, make_parser)
+                         EXIT_VALIDATION, TABLE_I_PARAMS, main, make_parser)
 
 
 def read_rows(path):
@@ -19,6 +20,19 @@ def read_rows(path):
 
 
 class TestTables:
+    def test_table_i_values(self, tmp_path):
+        out = tmp_path / "t1.csv"
+        assert main(["tables", "--which", "I", "--out", str(out)]) == EXIT_OK
+        header, *lines = out.read_text().splitlines()
+        assert header == "a,omegaT_over_pi"
+        paper = (179.04, 80.28, 45.72, 29.73, 21.05, 15.83)
+        assert len(lines) == len(TABLE_I_PARAMS) == len(paper)
+        for line, A, u in zip(lines, TABLE_I_PARAMS, paper):
+            a_text, u_text = line.split(",")
+            assert float(a_text) == A
+            assert float(u_text) == pytest.approx(u, abs=0.01)
+            assert u_text == f"{solve_omega_T_for_A(A).value / np.pi:.12g}"
+
     def test_table_ii_values(self, tmp_path):
         out = tmp_path / "t2.csv"
         assert main(["tables", "--which", "II", "--out", str(out)]) == EXIT_OK
@@ -172,6 +186,14 @@ class TestSynth:
                      "--omega-T-over-pi", "10",
                      "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("omega", ["0", "-1"])
+    def test_non_positive_omega_rejected(self, tmp_path, capsys, omega):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--strategy", "c", f"--omega={omega}",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "omega must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_strategy_b_fidelity(self, tmp_path):
@@ -195,6 +217,17 @@ class TestSimulate:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_steps_per_period_checked_for_patched_schedule(self, capsys,
+                                                           command):
+        # verify skips RK4 on a strategy-b schedule, but builds the same
+        # PropagationConfig as simulate, so it rejects the same step counts
+        assert main([command, "--strategy", "b", "--B", "0.5",
+                     "--omega-T-over-pi", "11.3369",
+                     "--steps-per-period", "50"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err \
+            == "error: steps_per_carrier_period must be at least 100\n"
+
     def test_pass_and_report(self, tmp_path):
         rep = tmp_path / "v.json"
         assert main(["verify", "--strategy", "c", "--Omega0-over-omega",
@@ -548,6 +581,14 @@ class TestConfigFile:
                          "--out", str(out)]) == EXIT_VALIDATION, key
             assert f"unknown config key {key!r}" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([1, 2]))
+        assert main(["synth", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err \
+            == f"error: {cfg}: config must be a JSON object\n"
 
     def test_malformed_json(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -38,6 +38,13 @@ class TestFindRoot:
         root, _ = find_root(lambda x: x, Bracket(0.0, 1.0), tol=1e-12)
         assert root == 0.0
 
+    def test_root_at_hi_end(self):
+        assert find_root(lambda x: x - 1.0, Bracket(0.0, 1.0), 1e-6) == (1.0, 0)
+
+    def test_empty_bracket(self):
+        with pytest.raises(ValueError, match="invalid bracket"):
+            Bracket(1.0, 1.0)
+
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
             find_root(lambda x: x + 2.0, Bracket(0.0, 1.0), tol=1e-9)

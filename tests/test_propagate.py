@@ -396,8 +396,9 @@ def _nan_phase_at_one_record(sch):
                      span / 80)
     bad = dataclasses.replace(
         traj, phases=lambda t: np.stack([traj.phases(t)[0], zero(t)]))
-    return check_analytic_agreement(dataclasses.replace(sch, trajectory=bad),
-                                    steps_per_period=500), "max_deviation"
+    return check_analytic_agreement(
+        dataclasses.replace(sch, trajectory=bad),
+        PropagationConfig(steps_per_carrier_period=500)), "max_deviation"
 
 
 def _nan_detuning_at_one_sample(sch):

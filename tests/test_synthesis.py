@@ -446,6 +446,12 @@ class TestStrategyB:
         with pytest.raises(ValueError, match="delta_t must lie in"):
             strategy_b(0.5, 30.0, 1.0, np.nan)
 
+    @pytest.mark.parametrize("omega,T", [(0.0, 1.0), (-30.0, 1.0),
+                                         (30.0, 0.0), (30.0, -1.0)])
+    def test_non_positive_omega_or_T(self, omega, T):
+        with pytest.raises(ValueError, match="omega and T must be positive"):
+            strategy_b(0.5, omega, T, 0.01)
+
 
 class TestAmplitudeBounds:
     ENTRY_POINTS = {
@@ -497,6 +503,13 @@ class TestStrategyC:
             strategy_c(0.5, 1.0, 2)   # at/above the amplitude supremum
         with pytest.raises(ValueError):
             strategy_c(0.2, 1.0, 0)
+
+    def test_invariance_at_round_off(self):
+        # kappa = 0: the residual is 0 at every h, so no decay is measured
+        res = check_invariance(strategy_c(0.0, 1.0, 2))
+        assert res["max_residual_over_omega"] == 0.0
+        assert res["slope"] == 2.0
+        assert res["passed"] is True
 
     def test_n_periods_must_be_an_integer(self):
         assert strategy_c(0.3, 1.0, np.int64(2)).params["n_periods"] == 2
@@ -565,6 +578,16 @@ class TestCalibration:
             solve_omega_T_for_B(0.0365)
         assert solve_omega_T_for_B(0.037).value \
             == np.pi / _carrier_mean_sin2(0.037)
+
+    def test_omega_T_for_A_search_range(self):
+        # the bracket's upper end for A = 0.05 lies past 2000 pi
+        with pytest.raises(CalibrationError, match="search range"):
+            solve_omega_T_for_A(0.05)
+
+    @pytest.mark.parametrize("kappa", [-0.1, KAPPA_SUP])
+    def test_delta_epsilon_domain(self, kappa):
+        with pytest.raises(ValueError, match="must lie in"):
+            delta_epsilon_per_period(kappa)
 
     def test_omega_T_iterations_count_quadratures(self, beta_a_calls,
                                                    monkeypatch):
