@@ -22,7 +22,7 @@ from .errors import (CalibrationError, ConvergenceError, PropagationError,
 from .propagate import PropagationConfig, deviation_from_analytic, propagate
 from .synthesis import (PulseSchedule, calibrate_strategy_c, load_schedule_csv,
                         solve_omega_T_for_A, solve_omega_T_for_B, strategy_a,
-                        strategy_b, strategy_c)
+                        strategy_b, strategy_c, write_table)
 from .verify import run_verification
 from .core import ket
 
@@ -36,16 +36,20 @@ TABLE_II_PARAMS = (0.4, 0.5, 0.6, 0.7)
 
 
 def _atomic_write(path: str, writer) -> None:
-    """Call writer(tmp_path) then rename tmp_path onto path."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    os.close(fd)
+    """Call writer(tmp_path) then rename tmp_path onto path. An OSError is
+    raised again with its errno and strerror naming path, not tmp_path."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   suffix=".tmp")
+        os.close(fd)
         writer(tmp)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -136,7 +140,10 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     options = {opt.name: opt for opt in _COMMANDS[args.command][1]}
     if path:
         with open(path) as fh:
-            cfg = json.load(fh)
+            try:   # a JSON or UTF-8 decoding error
+                cfg = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         if not isinstance(cfg, dict):
             raise ValueError(f"{path}: config must be a JSON object")
     for key, value in cfg.items():
@@ -249,15 +256,10 @@ def cmd_tables(args) -> int:
         params, solver, label = TABLE_I_PARAMS, solve_omega_T_for_A, "A"
     else:
         params, solver, label = TABLE_II_PARAMS, solve_omega_T_for_B, "B"
-    rows = [(p, solver(p).value / np.pi) for p in params]
-
-    def writer(tmp):
-        with open(tmp, "w") as fh:
-            fh.write(f"{label.lower()},omegaT_over_pi\n")
-            for p, u in rows:
-                fh.write(f"{p:.12g},{u:.12g}\n")
-    _atomic_write(args.out, writer)
-    print(f"wrote table {args.which} ({len(rows)} rows) to {args.out}")
+    values = [solver(p).value / np.pi for p in params]
+    _atomic_write(args.out, lambda tmp: write_table(
+        tmp, (label.lower(), "omegaT_over_pi"), [params, values]))
+    print(f"wrote table {args.which} ({len(values)} rows) to {args.out}")
     return EXIT_OK
 
 
@@ -382,7 +384,7 @@ def main(argv=None) -> int:
     try:
         args = _resolve(parser.parse_args(argv))
         return args.func(args)
-    except (ValueError, json.JSONDecodeError, argparse.ArgumentError) as exc:
+    except (ValueError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (CalibrationError, ConvergenceError, SynthesisError,

@@ -15,7 +15,6 @@ comparisons start at the run's first state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from math import isqrt
 from numbers import Integral
@@ -24,7 +23,7 @@ import numpy as np
 
 from .core import SQRT2, analytic_evolution, hamiltonian_entries, is_normalized
 from .errors import PropagationError
-from .synthesis import TWO_PI, PulseSchedule
+from .synthesis import TWO_PI, PulseSchedule, write_table
 
 
 @dataclass(frozen=True)
@@ -82,10 +81,8 @@ class TransferReport:
         }
 
     def write_csv(self, path, time_scale: float = 1.0) -> None:
-        np.savetxt(path, np.column_stack([self.times / time_scale,
-                                          self.populations, self.norms]),
-                   fmt="%.12g", delimiter=",", comments="",
-                   header="# " + json.dumps(self.summary()) + "\nt,p1,p2,p3,norm")
+        columns = [self.times / time_scale, self.populations, self.norms]
+        write_table(path, ("t", "p1", "p2", "p3", "norm"), columns, self.summary())
 
 
 def propagate(schedule: PulseSchedule, psi0: np.ndarray,

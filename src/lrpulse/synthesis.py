@@ -211,11 +211,8 @@ class PulseSchedule:
         if np.max(np.abs(ds - dd)) > 1e-12 * self.omega:
             raise ValueError("Stokes detuning differs from the pump detuning; "
                              "a schedule file holds one detuning column")
-        np.savetxt(path, np.column_stack([ts / time_scale, op.real, op.imag,
-                                          os_.real, os_.imag, dd]),
-                   fmt="%.12g", delimiter=",", comments="",
-                   header="# " + json.dumps(self.header()) + "\n"
-                   + ",".join(_SCHEDULE_COLUMNS))
+        columns = [ts / time_scale, op.real, op.imag, os_.real, os_.imag, dd]
+        write_table(path, _SCHEDULE_COLUMNS, columns, self.header())
 
 
 class _View:
@@ -245,29 +242,40 @@ def _float_or_nan(cell: str) -> float:
         return np.nan
 
 
+def write_table(path, names, columns, meta=None) -> None:
+    """Write columns as %.12g CSV under a line of their names, after a '# '
+    JSON line of meta if it is given: the format load_schedule_csv reads."""
+    names = ",".join(names)
+    np.savetxt(path, np.column_stack(columns), fmt="%.12g", delimiter=",", comments="",
+               header=names if meta is None else f"# {json.dumps(meta)}\n{names}")
+
+
 def load_schedule_csv(path):
     """Read back a schedule CSV: (header dict, record array of columns).
 
-    Raises ValueError, naming the path, for a first line that is not '# '
-    and a JSON object; for fewer than 2 data rows; for the first data row
-    whose column count differs from the column-name line; for column names
-    other than the six write_csv writes, each once in any order;
-    for the first cell that is not a finite number (by data row and column);
-    and for the first data row whose t does not exceed the row before it.
+    Raises ValueError, naming the path, for a file that is not UTF-8; for a
+    first line that is not '# ' and a JSON object; for fewer than 2 data rows;
+    for the first data row whose column count differs from the column-name
+    line; for column names other than the six write_csv writes, each once in
+    any order; for the first cell that is not a finite number (by data row and
+    column); and for the first data row whose t does not exceed the row before it.
     Blank lines and lines starting with '#' are not data rows.
     """
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("# "):
-            raise ValueError(f"{path}: missing JSON header line")
-        try:
-            meta = json.loads(first[2:])
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed JSON header line: {exc}") from None
-        if not isinstance(meta, dict):
-            raise ValueError(f"{path}: JSON header line is not an object")
-        names = [name.strip() for name in fh.readline().split(",")]
-        rows = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+            if not first.startswith("# "):
+                raise ValueError(f"{path}: missing JSON header line")
+            try:
+                meta = json.loads(first[2:])
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: malformed JSON header line: {exc}") from None
+            if not isinstance(meta, dict):
+                raise ValueError(f"{path}: JSON header line is not an object")
+            names = [name.strip() for name in fh.readline().split(",")]
+            rows = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: {len(rows)} data rows, at least 2 needed")
     for n, row in enumerate(rows, start=1):

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrpulse import solve_omega_T_for_A
+from lrpulse import cli, solve_omega_T_for_A
 from lrpulse.cli import (EXIT_IO, EXIT_NONCONVERGENCE, EXIT_OK,
                          EXIT_VALIDATION, TABLE_I_PARAMS, main, make_parser)
+from lrpulse.errors import (ConvergenceError, DomainError, PropagationError,
+                            SingularityError, SynthesisError)
 
 
 def read_rows(path):
@@ -41,9 +43,24 @@ class TestTables:
         for b, u in expected.items():
             assert rows[b] == pytest.approx(u, abs=0.01)
 
-    def test_unwritable_path(self, tmp_path):
+    def test_unwritable_path(self, tmp_path, capsys):
         out = tmp_path / "nope" / "t2.csv"
         assert main(["tables", "--which", "II", "--out", str(out)]) == EXIT_IO
+        # the error names the path given, not the temporary file
+        assert capsys.readouterr().err \
+            == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        # the rename onto a directory fails after the temporary file is
+        # written: each run removes it and prints the same error
+        out = tmp_path / "t2.csv"
+        out.mkdir()
+        errs = []
+        for _ in range(2):
+            assert main(["tables", "--which", "II", "--out", str(out)]) == EXIT_IO
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +327,14 @@ class TestVerify:
         assert f"error: {bad}: column names " in err
         assert "pass" not in out
 
+    def test_schedule_file_not_utf8(self, tmp_path, capsys, a_file):
+        lines = [ln.encode() for ln in a_file]
+        lines[4] = b"\xff" + lines[4]   # the third data row
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        assert verify_a(bad) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
     @pytest.mark.parametrize("n_rows", [0, 1])
     def test_short_schedule_file_fails(self, tmp_path, capsys, n_rows):
         # a file needs two data rows to span the schedule domain
@@ -475,6 +500,22 @@ class TestCalibrateC:
             == EXIT_NONCONVERGENCE
 
 
+class TestErrorExitCodes:
+    @pytest.mark.parametrize("error,code", [
+        (ConvergenceError, EXIT_NONCONVERGENCE), (SynthesisError, EXIT_NONCONVERGENCE),
+        (SingularityError, EXIT_NONCONVERGENCE), (PropagationError, EXIT_NONCONVERGENCE),
+        (DomainError, EXIT_VALIDATION)])
+    def test_error_from_build_schedule(self, tmp_path, capsys, monkeypatch,
+                                       error, code):
+        def build_schedule(args):
+            raise error("no schedule")
+        monkeypatch.setattr(cli, "build_schedule", build_schedule)
+        out = tmp_path / "o.csv"
+        assert main(["synth", "--strategy", "c", "--out", str(out)]) == code
+        assert capsys.readouterr().err == "error: no schedule\n"
+        assert not out.exists()
+
+
 class TestNonFiniteInputs:
     B = ["synth", "--strategy", "b", "--B", "0.5"]
 
@@ -590,11 +631,18 @@ class TestConfigFile:
         assert capsys.readouterr().err \
             == f"error: {cfg}: config must be a JSON object\n"
 
-    def test_malformed_json(self, tmp_path):
+    def test_malformed_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert main(["synth", "--config", str(cfg),
                      "--out", str(cfg.parent / "o.csv")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: Expecting ")
+        # a file that is not UTF-8 is named too
+        cfg.write_bytes(b'\xff{"A": 1}')
+        assert main(["synth", "--config", str(cfg),
+                     "--out", str(cfg.parent / "o.csv")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("command,config,key", [
         ("synth", {"strategy": "c", "Omega0_over_omega": 0.3, "n_periods": 2.5},

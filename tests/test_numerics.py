@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrpulse
+from lrpulse.errors import ConvergenceError
 from lrpulse.numerics import (_GL_NODES, _GL_WEIGHTS, Bracket, RunningIntegral,
                               central_diff, find_root, integrate)
 
@@ -146,6 +147,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(np.sin, 0.0, 1.0, 0)
 
+    def test_step_at_a_third_does_not_converge(self):
+        # no doubling of the cells puts an edge on t = 1/3, so each sum is
+        # off by a fraction of a cell's width and the doubling cap is reached
+        with pytest.raises(ConvergenceError, match="quadrature did not converge"):
+            integrate(lambda x: (x > 1 / 3).astype(float), 0.0, 1.0, 1)
+
 
 class TestCentralDiff:
     def test_exponential(self):
@@ -178,6 +185,10 @@ class TestRunningIntegral:
     def test_start_is_zero(self):
         F = RunningIntegral(np.cos, -1.0, 1.0, 32)
         assert F(-1.0) == 0.0
+
+    def test_empty_domain_rejected(self):
+        with pytest.raises(ValueError, match="t_end must exceed t_start"):
+            RunningIntegral(np.sin, 1.0, 1.0, 4)
 
     @pytest.mark.parametrize("shape", [(16, 7), (3, 4)])
     def test_2d_times_match_flattened(self, shape):

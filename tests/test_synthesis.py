@@ -782,6 +782,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             load_schedule_csv(path)
 
+    def test_non_utf8_row_names_the_file(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        strategy_c(0.3, 1.0, 1).write_csv(path, samples_per_period=16)
+        lines = path.read_bytes().split(b"\n")
+        lines[4] = b"\xff" + lines[4]   # the third data row
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as exc:
+            load_schedule_csv(path)
+        assert str(exc.value).startswith(f"{path}: 'utf-8' codec can't decode")
+
 
 class TestCarrierSingularTimes:
     def test_zeros_of_cosine(self):
