@@ -36,14 +36,18 @@ TABLE_II_PARAMS = (0.4, 0.5, 0.6, 0.7)
 
 
 def _atomic_write(path: str, writer) -> None:
-    """Call writer(tmp_path) then rename tmp_path onto path. An OSError is
-    raised again with its errno and strerror naming path, not tmp_path."""
+    """Call writer(tmp_path), give it the mode open(path, "w") would leave and
+    rename it onto path. An OSError is raised again with its errno and
+    strerror naming path, not tmp_path."""
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    suffix=".tmp")
         os.close(fd)
         writer(tmp)
+        os.umask(umask := os.umask(0))   # read the umask, and put it back
+        os.chmod(tmp, os.stat(path).st_mode & 0o7777 if os.path.exists(path)
+                 else 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

@@ -60,13 +60,18 @@ class AuxParams:
                       - self.lam_dot * np.cos(self.beta) * np.cos(self.epsilon))
 
 
+def _window_bounds(window) -> tuple:
+    """window's [t_start, t_end], widened by a relative 1e-9 for grid ends."""
+    slack = 1e-9 * max(1.0, abs(window.t_start), abs(window.t_end))
+    return window.t_start - slack, window.t_end + slack
+
+
 def _check_in_window(window, name: str, t) -> None:
-    """Raise DomainError unless times t lie in [t_start, t_end] of window."""
-    t, lo, hi = np.asarray(t, dtype=float), window.t_start, window.t_end
-    slack = 1e-9 * max(1.0, abs(lo), abs(hi))   # grids ending at t_end overshoot
-    if t.size and not (lo - slack <= t.min() and t.max() <= hi + slack):
-        raise DomainError(f"{name} [{float(lo)}, {float(hi)}] does not cover "
-                          f"t in [{float(t.min())}, {float(t.max())}]")
+    """Raise DomainError unless times t lie in window's _window_bounds."""
+    t, (lo, hi) = np.asarray(t, dtype=float), _window_bounds(window)
+    if t.size and not (lo <= t.min() and t.max() <= hi):
+        raise DomainError(f"{name} [{float(window.t_start)}, {float(window.t_end)}] "
+                          f"does not cover t in [{float(t.min())}, {float(t.max())}]")
 
 
 def hamiltonian_entries(schedule, t):

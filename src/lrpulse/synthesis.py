@@ -1,8 +1,8 @@
 """Auxiliary-angle trajectories, inverse-engineered pulse schedules, and the
 three concrete design strategies with their calibration solvers.
 
-Every schedule is views of one sampler that maps times to its fields and
-cos(omega*t) (_schedule). synthesize_general samples a trajectory once for the
+Every schedule is views of one sampler that maps times and cos(omega*t) to
+its fields (_schedule). synthesize_general samples a trajectory once for the
 pump/Stokes envelopes and detunings that realize it. Strategies A, B and C
 share one reduced invariant (alpha = pi/4, lambda = 0, theta_dot = -omega): a
 strategy is a mixing angle beta, its derivative beta_dot and a sampler giving,
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AuxParams, SQRT2, lr_phase_rate
+from .core import AuxParams, SQRT2, _window_bounds, lr_phase_rate
 from .errors import CalibrationError, SynthesisError
 from .numerics import (Bracket, RunningIntegral, central_diff, find_root,
                        integrate)
@@ -174,19 +174,17 @@ class PulseSchedule:
 
     def sample(self, t):
         """(Omega_p, Omega_s, Delta_p, Delta_s, cos(omega*t)), each of t's shape.
-        Each distinct closure, or sampler of a _View (by type), is called once;
-        only a view on this omega gives the carrier, else it is np.cos(omega*t)."""
+        cos(omega*t) is computed once and handed to each distinct sampler of a
+        _View (by type) on this omega; any other field is called on its own."""
         t = np.asarray(t, dtype=float)
-        calls, samples, carrier = {}, [], None
+        calls, samples, carrier = {}, [], np.cos(self.omega * t)
         for fn in (self.Omega_p, self.Omega_s, self.Delta_p, self.Delta_s):
-            view = isinstance(fn, _View)
+            view = isinstance(fn, _View) and fn.omega == self.omega
             key = id(fn.sampler if view else fn)
             if key not in calls:
-                calls[key] = fn.sampler(t) if view else fn(t)
-            if view and fn.omega == self.omega:
-                carrier = calls[key][-1]
+                calls[key] = fn.sampler(t, carrier) if view else fn(t)
             samples.append(calls[key][fn.index] if view else calls[key])
-        samples.append(np.cos(self.omega * t) if carrier is None else carrier)
+        samples.append(carrier)
         return tuple(x if getattr(x, "shape", None) == t.shape
                      else np.broadcast_to(x, t.shape) for x in samples)
 
@@ -222,14 +220,15 @@ class _View:
         self.sampler, self.index, self.omega = sampler, index, omega
 
     def __call__(self, t):
-        return self.sampler(np.asarray(t, dtype=float))[self.index]
+        t = np.asarray(t, dtype=float)
+        return self.sampler(t, np.cos(self.omega * t))[self.index]
 
 
 def _schedule(strategy: str, params: dict, sampler: Callable, fields: tuple,
               omega: float, traj: AuxiliaryTrajectory) -> PulseSchedule:
     """Schedule of traj whose Omega_p, Omega_s, Delta_p and Delta_s read the
-    outputs fields of sampler, which maps float times to a tuple ending in
-    cos(omega*t); fields reading one output share one view."""
+    outputs fields of sampler, which maps float times t and cos(omega*t) to a
+    tuple; fields reading one output share one view."""
     views = {i: _View(sampler, i, omega) for i in set(fields)}
     return PulseSchedule(omega, *(views[i] for i in fields), traj.t_start,
                          traj.t_end, strategy, params, traj)
@@ -356,15 +355,15 @@ def _general_fields(aux: AuxiliaryTrajectory, omega: float, t):
 def synthesize_general(aux: AuxiliaryTrajectory, omega: float) -> PulseSchedule:
     """Envelopes and detunings on carrier omega realizing the given
     trajectory exactly, as views of one sampler of (Omega_p, Omega_s,
-    Delta_p, Delta_s, cos(omega*t)).
+    Delta_p, Delta_s) of times and cos(omega*t).
 
     The envelope is a quotient by the carrier cosine; trajectories whose
-    numerator does not vanish at a carrier zero are rejected because they
-    would need an unbounded pulse there.
+    numerator does not vanish at a carrier zero of the window, its ends
+    included, are rejected as they would need an unbounded pulse there.
     """
     _check_carrier(omega)
     numerators = lambda t: np.stack(_general_fields(aux, omega, t)[:2])
-    zeros = carrier_singular_times(omega, aux.t_start, aux.t_end)
+    zeros = carrier_singular_times(omega, *_window_bounds(aux))
     probe = np.abs(numerators(np.linspace(aux.t_start, aux.t_end, 1001)))
     scale = np.maximum(np.max(probe, axis=-1), omega)
     bad = np.argwhere(np.abs(numerators(zeros)) > 1e-7 * scale[:, None])
@@ -374,9 +373,8 @@ def synthesize_general(aux: AuxiliaryTrajectory, omega: float) -> PulseSchedule:
             f"t={zeros[bad[0, 1]]:.9g}: numerator does not vanish with the "
             "carrier cosine")
 
-    def sample(t):   # one trajectory sample a time
+    def sample(t, c):   # one trajectory sample a time
         *nums, delta_p, delta_s = _general_fields(aux, omega, t)
-        c = np.cos(omega * t)
         with np.errstate(divide="ignore", invalid="ignore"):
             envelopes = np.asarray(np.stack(nums) / c, dtype=complex)
         near = np.abs(c) < _CARRIER_ZERO_TOL
@@ -385,7 +383,7 @@ def synthesize_general(aux: AuxiliaryTrajectory, omega: float) -> PulseSchedule:
             h = 1e-6 * TWO_PI / omega
             envelopes[:, near] = central_diff(numerators, tz, h) \
                 / (-omega * np.sin(omega * tz))
-        return (*envelopes, delta_p, delta_s, c)
+        return (*envelopes, delta_p, delta_s)
 
     return _schedule("general", {}, sample, (0, 1, 2, 3), omega, aux)
 
@@ -429,9 +427,8 @@ def strategy_a(A: float, omega: float, T: float) -> PulseSchedule:
     if omega <= 0 or T <= 0:
         raise ValueError("omega and T must be positive")
 
-    def sample(t):   # six sines and cosines a time: omega*t, 2*pi*t/T and beta
-        c, s = np.cos(omega * t), np.sin(omega * t)
-        fv = f(t)
+    def sample(t, c):   # sin(omega*t), and 2*pi*t/T's and beta's sine and cosine
+        s, fv = np.sin(omega * t), f(t)
         b = fv * c ** 2
         sb, cb = np.sin(b), np.cos(b)
         # beta_dot / cos and sin(2*beta) / cos, both regular: beta carries a
@@ -440,7 +437,7 @@ def strategy_a(A: float, omega: float, T: float) -> PulseSchedule:
         s2b_over_c = 2.0 * fv * c * np.divide(sb * cb, b, out=np.ones_like(b),
                                               where=b != 0.0)
         envelope = -omega / (2.0 * SQRT2) * s2b_over_c - 1j / SQRT2 * bdot_over_c
-        return envelope, -2.0 * omega * sb ** 2, c
+        return envelope, -2.0 * omega * sb ** 2
 
     return _schedule("a", {"A": A, "omega_T": omega * T}, sample, (0, 0, 1, 1),
                      omega, reduced_trajectory(*_beta_a(f, fdot, omega), omega,
@@ -574,8 +571,8 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
     def quotient(t, fv, c):   # the envelope, singular at the carrier zeros
         return -(2j * fdot(t) + omega * np.sin(2 * fv)) / (2.0 * SQRT2 * c)
 
-    def sample(t):   # the window f and cos(omega*t) once a time
-        fv, c = f(t), np.cos(omega * t)
+    def sample(t, c):   # the window f once a time
+        fv = f(t)
         with np.errstate(divide="ignore", invalid="ignore"):
             val = np.asarray(quotient(t, fv, c), dtype=complex)
         tn = _nearest_carrier_zero(omega, t)
@@ -587,7 +584,7 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
             val[inside] = lo + (hi - lo) / (2.0 * delta_t) * (t_in - tn + delta_t)
         if neglect_imag:
             val = val.real.astype(complex)
-        return val, -2.0 * omega * np.sin(fv) ** 2, c
+        return val, -2.0 * omega * np.sin(fv) ** 2
 
     return _schedule(
         "b", {"B": B, "omega_T": omega * T, "delta_t_over_T": delta_t / T,
@@ -643,13 +640,13 @@ def strategy_c(Omega0: float, omega: float, n_periods: int) -> PulseSchedule:
     t_start = 0.5 * np.pi / omega
     t_end = t_start + n_periods * TWO_PI / omega
 
-    def sample(t):
-        c, s = np.cos(omega * t), np.sin(omega * t)
+    def sample(t, c):
+        s = np.sin(omega * t)
         # x = sin(2 beta)^2: Delta = -omega x/(1 + sqrt(1 - x)) does not cancel
         x = 8.0 * kappa ** 2 * c ** 8
         root = np.sqrt(1.0 - x)
         envelope = Omega0 * c * c * c + 1j * (-4.0 * Omega0 * c * c * s / root)
-        return envelope, -omega * x / (1.0 + root), c
+        return envelope, -omega * x / (1.0 + root)
 
     return _schedule(
         "c", {"Omega0_over_omega": kappa, "n_periods": int(n_periods)},

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -75,6 +76,32 @@ def a_file(tmp_path_factory):
 def verify_a(path):
     return main(["verify", "--strategy", "a", "--A", "0.5",
                  "--schedule", str(path)])
+
+
+class TestOutputMode:
+    # outputs are written to a temporary file and renamed onto the path; each
+    # gets the mode open(path, "w") would give it, not the temporary's 0600
+    @pytest.fixture
+    def umask(self):
+        previous = os.umask(0o022)
+        yield 0o022
+        os.umask(previous)
+
+    def test_new_files_follow_the_umask(self, tmp_path, umask):
+        table, sched, summ = (tmp_path / n for n in ("t2.csv", "z.csv", "z.json"))
+        assert main(["tables", "--which", "II", "--out", str(table)]) == EXIT_OK
+        assert main(["synth", "--strategy", "c", "--Omega0-over-omega", "0",
+                     "--out", str(sched), "--summary", str(summ)]) == EXIT_OK
+        for path in (table, sched, summ):
+            assert os.stat(path).st_mode & 0o7777 == 0o666 & ~umask
+
+    def test_overwritten_file_keeps_its_mode(self, tmp_path, umask):
+        out = tmp_path / "t2.csv"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert main(["tables", "--which", "II", "--out", str(out)]) == EXIT_OK
+        assert os.stat(out).st_mode & 0o7777 == 0o640
+        assert out.read_text().startswith("b,omegaT_over_pi\n")
 
 
 class TestUsageErrors:

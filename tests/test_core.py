@@ -6,15 +6,18 @@ import functools
 import numpy as np
 import pytest
 
-from lrpulse import (AuxParams, PulseSchedule, analytic_evolution,
+from lrpulse import (AuxParams, PropagationConfig, PulseSchedule,
+                     analytic_evolution, carrier_singular_times,
                      final_state_prediction, hamiltonian_at,
                      invariance_residual, invariant_at, invariant_eigenvectors,
-                     ket, load_schedule_csv, lr_phase_rate, reduced_trajectory,
-                     strategy_a, strategy_b, strategy_c)
+                     ket, load_schedule_csv, lr_phase_rate, propagate,
+                     reduced_trajectory, strategy_a, strategy_b, strategy_c,
+                     synthesize_general)
 from lrpulse.cli import _envelope_summary
 from lrpulse.core import _CHUNK, hamiltonian_entries
 from lrpulse.errors import DomainError, SingularityError
 from lrpulse.verify import lr_phase_rates_numeric
+from test_synthesis import lambda_trajectory
 
 
 def random_aux(rng, n: int) -> AuxParams:
@@ -108,7 +111,8 @@ class TestSamplingRule:
         sch = self.SCHEDULES[strategy]()
         n = 3 * _CHUNK + 123
         t = np.linspace(sch.t_start, sch.t_end, n).reshape(3, n // 3)
-        envelope, detuning, carrier = sch.Omega_p.sampler(t.ravel())
+        carrier = np.cos(sch.omega * t.ravel())
+        envelope, detuning = sch.Omega_p.sampler(t.ravel(), carrier)
         h11, h12, h32, h33 = hamiltonian_entries(sch, t)
         assert h12.shape == h11.shape == t.shape
         assert np.max(np.abs(h12.ravel() - envelope * carrier)) <= 1e-15 * sch.omega
@@ -155,6 +159,53 @@ class TestSamplingRule:
         assert np.max(np.abs(h12 - 2.0 * ref)) <= 1e-15 * sch.omega
 
 
+class TestSamplingRoutes:
+    # a traced run wraps a schedule's fields in plain closures, one per
+    # distinct field, as bench/tracing.py's _wrap_schedule does: each field is
+    # then sampled on its own, where the schedule itself hands cos(omega*t) to
+    # one sampler. Both routes must give the same bits, down to the files.
+    SCHEDULES = {
+        "a": lambda: strategy_a(0.5, 30.0, 1.0),
+        "b": lambda: strategy_b(0.5, 35.0, 1.0, 0.005),
+        "b_neglect_imag": lambda: strategy_b(0.5, 35.0, 1.0, 0.005, neglect_imag=True),
+        "c": lambda: strategy_c(0.3, 1.0, 2),
+        "lambda": lambda: synthesize_general(lambda_trajectory(), 2 * np.pi)}
+    FIELDS = ("Omega_p", "Omega_s", "Delta_p", "Delta_s")
+
+    @classmethod
+    def closures(cls, sch):
+        wrapped = {}
+        for name in cls.FIELDS:
+            fn = getattr(sch, name)
+            wrapped.setdefault(id(fn), lambda t, fn=fn: fn(t))
+        return dataclasses.replace(
+            sch, **{name: wrapped[id(getattr(sch, name))] for name in cls.FIELDS})
+
+    @staticmethod
+    def outputs(sch, t, path):
+        """hamiltonian_entries on t, propagate's record and write_csv's bytes."""
+        report = propagate(sch, ket(1), PropagationConfig(record_states=True))
+        report.write_csv(path)
+        out = [*hamiltonian_entries(sch, t), report.times, report.states,
+               report.norms, report.populations, path.read_bytes()]
+        if sch.strategy != "general":   # lambda's two detunings have no file
+            sch.write_csv(path)
+            out.append(path.read_bytes())
+        return out
+
+    @pytest.mark.parametrize("name", SCHEDULES)
+    def test_closures_give_the_schedule_bits(self, name, tmp_path):
+        sch = self.SCHEDULES[name]()
+        wrapped = self.closures(sch)
+        assert not any(getattr(wrapped, f) is getattr(sch, f) for f in self.FIELDS)
+        zeros = carrier_singular_times(sch.omega, sch.t_start, sch.t_end)
+        t = np.concatenate([np.linspace(sch.t_start, sch.t_end, 4001), zeros])
+        for x, y in zip(self.outputs(sch, t, tmp_path / "view.csv"),
+                        self.outputs(wrapped, t, tmp_path / "closure.csv"),
+                        strict=True):
+            assert x == y if isinstance(x, bytes) else np.array_equal(x, y)
+
+
 class TestScheduleSample:
     # PulseSchedule.sample is the one rule hamiltonian_entries, write_csv and
     # the CLI's envelope summary read a schedule by
@@ -171,7 +222,8 @@ class TestScheduleSample:
         sch = strategy_c(0.3, 1.0, 2)
         t = sch.sample_times(50)
         op, os_, dp, ds, carrier = sch.sample(t)
-        envelope, detuning, c = sch.Omega_p.sampler(t)
+        c = np.cos(sch.omega * t)
+        envelope, detuning = sch.Omega_p.sampler(t, c)
         assert op is os_ and dp is ds
         assert np.array_equal(op, envelope) and np.array_equal(dp, detuning)
         assert np.array_equal(carrier, c)

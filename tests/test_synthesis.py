@@ -234,6 +234,20 @@ class TestSynthesizeGeneral:
     def test_carrier_zero_limit_matches_strategy_c(self):
         assert_carrier_zero_limit(strategy_c(0.3, 1.0, 2))
 
+    @pytest.mark.parametrize("t_start, t_end", [(0.25, 0.6), (-0.1, 0.25)])
+    def test_singular_window_end_rejected(self, t_start, t_end):
+        # cos(2 pi t) vanishes at t = 0.25, an end of the window, where the
+        # pump numerator does not: the ends are checked like the inside
+        const = lambda v: lambda t: v + 0.0 * np.asarray(t)
+        traj = general_trajectory(np.pi / 4, const(0.5), const(0.0),
+                                  lambda t: 0.3 * (np.asarray(t) - 0.25), const(0.3),
+                                  const(0.0), const(0.0), t_start, t_end)
+        with pytest.raises(SynthesisError, match="pump envelope is singular at t=0.25:"):
+            synthesize_general(traj, 2 * np.pi)
+        # strategy B lists the carrier zeros strictly inside its window
+        sch = strategy_b(0.5, 2 * np.pi, 1.25, 0.01)
+        assert sch.params["singular_times"] == [0.25, 0.75]
+
     @pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0])
     def test_carrier_checked_first(self, omega):
         with pytest.raises(ValueError, match="^carrier frequency must be"):
