@@ -109,20 +109,27 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
     # or end of step bL+j) is row (2j+m) mod 2L of column b + (2j+m) div 2L,
     # so the end of a block and the start of the next share one sample
     n_blocks = -(-n_steps // L)
-    grid = t0 + 0.5 * dt * np.minimum(
-        2 * L * np.arange(n_blocks + 1) + np.arange(2 * L)[:, None], 2 * n_steps)
+    grid = np.add(np.arange(0.0, 2 * L * (n_blocks + 1), 2 * L),
+                  np.arange(2.0 * L)[:, None])
+    np.minimum(grid, 2 * n_steps, out=grid)
+    grid *= 0.5 * dt
+    grid += t0
     a, p, s, d = hamiltonian_entries(schedule, grid)
-    t_bad = grid[~np.logical_and.reduce(   # one finiteness test per distinct array
-        [np.isfinite(x) for x in {id(x): x for x in (a, p, s, d)}.values()])]
-    if t_bad.size:
-        raise PropagationError(f"non-finite Hamiltonian sample at t={float(t_bad.min())}")
+    # one finiteness test per distinct array; finite sums prove every entry
+    # finite, and only otherwise are the entries searched for the first bad time
+    entries = {id(x): x for x in (a, p, s, d)}.values()
+    if not all(np.isfinite(x.sum()) for x in entries):
+        t_bad = grid[~np.logical_and.reduce([np.isfinite(x) for x in entries])]
+        if t_bad.size:
+            raise PropagationError(
+                f"non-finite Hamiltonian sample at t={float(t_bad.min())}")
 
     # H in a constant real basis V as diagonal blocks of entries (i, j, samples).
     # If pump and Stokes agree, V is |+>, |2>, |-> with |+-> = (|1> +- |3>)/sqrt2:
     # |-> is an eigenvector and |+>, |2> couple by sqrt2*h12 (Morris-Shore)
     if (p is s or np.array_equal(p, s)) and (a is d or np.array_equal(a, d)):
         V = np.array([[1, 0, 1], [0, SQRT2, 0], [1, 0, -1]]) / SQRT2
-        p = s = SQRT2 * p   # s too: the unscaled samples are freed
+        p = s = np.multiply(p, SQRT2, out=p)   # in place: p is this run's own
         layout = [(slice(0, 2), [(0, 0, a), (0, 1, p), (1, 0, p.conj())]),
                   (slice(2, 3), [(0, 0, a)])]
     else:
@@ -130,28 +137,43 @@ def propagate(schedule: PulseSchedule, psi0: np.ndarray,
         layout = [(slice(0, 3), [(0, 0, a), (0, 1, p), (1, 0, p.conj()),
                                  (1, 2, s.conj()), (2, 1, s), (2, 2, d)])]
 
-    # classical RK4 on all propagators of a block at once, rows (n, n, n_blocks);
-    # stage gives H x at sample m (start, middle, end) of step j, -i is in the steps
-    def stage(entries, m, j, rows):
+    # classical RK4 on all propagators of a block at once, rows (n, n, n_blocks),
+    # in buffers allocated once per block layout; stage writes H x at sample m
+    # (start, middle, end) of step j into out, -i is in the steps
+    def stage(entries, m, j, x, out, y):
         c, r = divmod(2 * j + m, 2 * L)
-        out = [None] * len(rows)
+        filled = set()
         for i, k, h in entries:
-            y = h[r, c:c + n_blocks] * rows[k]
-            out[i] = y if out[i] is None else out[i] + y
-        return out
+            if i in filled:
+                np.multiply(h[r, c:c + n_blocks], x[k], out=y)
+                np.add(out[i], y, out=out[i])
+            else:
+                np.multiply(h[r, c:c + n_blocks], x[k], out=out[i])
+                filled.add(i)
 
     U = np.repeat(np.eye(3, dtype=complex)[:, :, None], n_blocks, 2)
     half, full, sixth = -0.5j * dt, -1j * dt, -1j * dt / 6.0
     for block, entries in layout:
         rows = U[block, block]
+        k = np.empty((4,) + rows.shape, dtype=complex)   # k1 to k4
+        x, y = np.empty_like(rows), np.empty_like(rows[0])
         for j in range(L):
-            k1 = stage(entries, 0, j, rows)
-            k2 = stage(entries, 1, j, [c + half * k for c, k in zip(rows, k1)])
-            k3 = stage(entries, 1, j, [c + half * k for c, k in zip(rows, k2)])
-            k4 = stage(entries, 2, j, [c + full * k for c, k in zip(rows, k3)])
+            stage(entries, 0, j, rows, k[0], y)
+            for i, (m, step) in enumerate(((1, half), (1, half), (2, full))):
+                np.multiply(step, k[i], out=x)
+                np.add(rows, x, out=x)
+                stage(entries, m, j, x, k[i + 1], y)
             live = -(-(n_steps - j) // L)   # the blocks b with a step bL + j
-            for c, y1, y2, y3, y4 in zip(rows[..., :live], k1, k2, k3, k4):
-                c += (sixth * (y1 + 2 * y2 + 2 * y3 + y4))[:, :live]
+            # sixth * (k1 + 2 k2 + 2 k3 + k4), operation by operation in the
+            # order of that expression, so the sum keeps its rounding
+            k1, k2, k3, k4 = k[..., :live]
+            np.multiply(k2, 2, out=k2)
+            np.add(k1, k2, out=k1)
+            np.multiply(k3, 2, out=k3)
+            np.add(k1, k3, out=k1)
+            np.add(k1, k4, out=k1)
+            np.multiply(sixth, k1, out=k1)
+            np.add(rows[..., :live], k1, out=rows[..., :live])
 
     # fold the m = stride/L blocks between records in place, the short last
     # run too, and chain the runs in the basis V; records fall on run ends

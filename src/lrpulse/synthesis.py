@@ -427,16 +427,20 @@ def strategy_a(A: float, omega: float, T: float) -> PulseSchedule:
     if omega <= 0 or T <= 0:
         raise ValueError("omega and T must be positive")
 
-    def sample(t, c):   # sin(omega*t), and 2*pi*t/T's and beta's sine and cosine
+    def sample(t, c):   # sin(omega*t), 2*pi*t/T's sine and cosine, sin(beta)
         s, fv = np.sin(omega * t), f(t)
         b = fv * c ** 2
-        sb, cb = np.sin(b), np.cos(b)
+        # beta lies in [0, A] with A <= 0.8 < pi/2, so cos(beta) >= 0
+        sb = np.sin(b)
+        cb = np.sqrt(1.0 - sb * sb)
         # beta_dot / cos and sin(2*beta) / cos, both regular: beta carries a
         # cos^2 factor, and sin(2b)/(2b) = sin(b)cos(b)/b is 1 at b = 0
         bdot_over_c = fdot(t) * c - 2.0 * fv * omega * s
         s2b_over_c = 2.0 * fv * c * np.divide(sb * cb, b, out=np.ones_like(b),
                                               where=b != 0.0)
-        envelope = -omega / (2.0 * SQRT2) * s2b_over_c - 1j / SQRT2 * bdot_over_c
+        envelope = np.empty(b.shape, dtype=complex)
+        np.multiply(-omega / (2.0 * SQRT2), s2b_over_c, out=envelope.real)
+        np.multiply(-1.0 / SQRT2, bdot_over_c, out=envelope.imag)
         return envelope, -2.0 * omega * sb ** 2
 
     return _schedule("a", {"A": A, "omega_T": omega * T}, sample, (0, 0, 1, 1),
@@ -569,21 +573,27 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
     singulars = carrier_singular_times(omega, 0.0, T)
 
     def quotient(t, fv, c):   # the envelope, singular at the carrier zeros
-        return -(2j * fdot(t) + omega * np.sin(2 * fv)) / (2.0 * SQRT2 * c)
+        denominator = 2.0 * SQRT2 * c
+        val = np.empty(np.shape(denominator), dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(-omega * np.sin(2 * fv), denominator, out=val.real)
+            np.divide(-2.0 * fdot(t), denominator, out=val.imag)
+        return val
 
     def sample(t, c):   # the window f once a time
         fv = f(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.asarray(quotient(t, fv, c), dtype=complex)
+        val = quotient(t, fv, c)
         tn = _nearest_carrier_zero(omega, t)
         inside = (np.abs(t - tn) < delta_t) & (tn > 0.0) & (tn < T)
-        if np.any(inside):   # the patch ends are evaluated inside patches only
-            raw = lambda u: quotient(u, f(u), np.cos(omega * u))
+        if np.any(inside):   # the patch ends once per carrier zero, inside only
             t_in, tn = t[inside], tn[inside]
-            lo, hi = raw(tn - delta_t), raw(tn + delta_t)
+            zeros, which = np.unique(tn, return_inverse=True)
+            ends = np.concatenate([zeros - delta_t, zeros + delta_t])
+            ends = quotient(ends, f(ends), np.cos(omega * ends))
+            lo, hi = ends[:zeros.size][which], ends[zeros.size:][which]
             val[inside] = lo + (hi - lo) / (2.0 * delta_t) * (t_in - tn + delta_t)
         if neglect_imag:
-            val = val.real.astype(complex)
+            val.imag = 0.0
         return val, -2.0 * omega * np.sin(fv) ** 2
 
     return _schedule(
@@ -613,14 +623,21 @@ def solve_omega_T_for_B(B: float) -> CalibrationResult:
 # ---------------------------------------------------------------------------
 
 def _beta_c(kappa: float, omega: float):
+    """Strategy C's mixing angle -arcsin(2 sqrt2 kappa cos(omega*t)^4)/2 and its
+    derivative, the carrier's powers as products, as strategy_c's sampler
+    takes them (a power of a negative base is slow)."""
     def beta(t):
-        return -0.5 * np.arcsin(2.0 * SQRT2 * kappa * np.cos(omega * t) ** 4)
+        c = np.cos(omega * t)
+        c2 = c * c
+        return -0.5 * np.arcsin(2.0 * SQRT2 * kappa * (c2 * c2))
 
     def beta_dot(t):
         c = np.cos(omega * t)
         s = np.sin(omega * t)
-        return (4.0 * SQRT2 * kappa * omega * c ** 3 * s
-                / np.sqrt(1.0 - 8.0 * kappa ** 2 * c ** 8))
+        c2 = c * c
+        c4 = c2 * c2
+        return (4.0 * SQRT2 * kappa * omega * (c2 * c) * s
+                / np.sqrt(1.0 - 8.0 * kappa ** 2 * (c4 * c4)))
 
     return beta, beta_dot
 
@@ -642,10 +659,14 @@ def strategy_c(Omega0: float, omega: float, n_periods: int) -> PulseSchedule:
 
     def sample(t, c):
         s = np.sin(omega * t)
+        c2 = c * c
+        c4 = c2 * c2
         # x = sin(2 beta)^2: Delta = -omega x/(1 + sqrt(1 - x)) does not cancel
-        x = 8.0 * kappa ** 2 * c ** 8
+        x = 8.0 * kappa ** 2 * (c4 * c4)
         root = np.sqrt(1.0 - x)
-        envelope = Omega0 * c * c * c + 1j * (-4.0 * Omega0 * c * c * s / root)
+        envelope = np.empty(c.shape, dtype=complex)
+        np.multiply(Omega0, c2 * c, out=envelope.real)
+        np.divide(-4.0 * Omega0 * c2 * s, root, out=envelope.imag)
         return envelope, -omega * x / (1.0 + root)
 
     return _schedule(

@@ -7,6 +7,14 @@ lrpulse it changes and against the one it started from, and diffs the two:
     PYTHONPATH=../parent/src python3 tests/output_hashes.py > before.txt
     diff before.txt after.txt
 
+A change that moves outputs by design sizes what it moved: --npz PATH also
+saves the arrays behind the array-valued lines, and --compare prints
+`name max|delta| max|before|` for each such line that differs:
+
+    PYTHONPATH=../parent/src python3 tests/output_hashes.py --npz before.npz
+    PYTHONPATH=src python3 tests/output_hashes.py --npz after.npz
+    PYTHONPATH=src python3 tests/output_hashes.py --compare before.npz after.npz
+
 It hashes, for strategies a, b and c, the lambda schedule of
 test_synthesis.lambda_trajectory and synthesize_general of a's and c's
 trajectories: the PulseSchedule.sample tuple, each field called alone and the
@@ -23,6 +31,7 @@ and pytest does not collect it.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -101,16 +110,16 @@ def sample_times(sch):
 
 def schedule_lines(name, sch):
     t = sample_times(sch)
-    yield f"{name}.sample", digest(*sch.sample(t))
+    yield f"{name}.sample", sch.sample(t)
     for field in ("Omega_p", "Omega_s", "Delta_p", "Delta_s"):
-        yield f"{name}.{field}", digest(getattr(sch, field)(t))
-        yield f"{name}.{field}.scalar", digest(getattr(sch, field)(float(t[7])))
-    yield f"{name}.hamiltonian_entries", digest(*hamiltonian_entries(sch, t))
+        yield f"{name}.{field}", (getattr(sch, field)(t),)
+        yield f"{name}.{field}.scalar", (getattr(sch, field)(float(t[7])),)
+    yield f"{name}.hamiltonian_entries", hamiltonian_entries(sch, t)
     report = propagate(sch, ket(1), PropagationConfig(record_states=True))
-    yield f"{name}.propagate", digest(report.times, report.states, report.norms,
-                                      report.populations, str(report.steps))
+    yield f"{name}.propagate", (report.times, report.states, report.norms,
+                                report.populations, str(report.steps))
     result = run_verification(sch)
-    yield f"{name}.run_verification", digest(json.dumps(result, sort_keys=True))
+    yield f"{name}.run_verification", (json.dumps(result, sort_keys=True),)
 
 
 def analytic_lines(name, sch):
@@ -119,9 +128,9 @@ def analytic_lines(name, sch):
     t0 = 0.5 * (traj.t_start + traj.t_end)
     for label, psi0 in (("1", ket(1)), ("mix", np.array([0.6, 0.8j, 0.0]))):
         yield (f"{name}.analytic_evolution.{label}",
-               digest(analytic_evolution(traj, psi0, t),
-                      analytic_evolution(traj, psi0, t, t0),
-                      analytic_evolution(traj, psi0, float(t[11]))))
+               (analytic_evolution(traj, psi0, t),
+                analytic_evolution(traj, psi0, t, t0),
+                analytic_evolution(traj, psi0, float(t[11]))))
 
 
 def readme_commands():
@@ -168,11 +177,11 @@ def cli_lines(label, argv, tmp):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    yield f"{label}.exit", digest(str(code))
-    yield f"{label}.stdout", digest(out.getvalue())
-    yield f"{label}.stderr", digest(err.getvalue())
+    yield f"{label}.exit", (str(code),)
+    yield f"{label}.stdout", (out.getvalue(),)
+    yield f"{label}.stderr", (err.getvalue(),)
     for path in sorted(Path(tmp).iterdir()):
-        yield f"{label}.file.{path.name}", digest(path.read_bytes())
+        yield f"{label}.file.{path.name}", (path.read_bytes(),)
 
 
 @contextlib.contextmanager
@@ -201,16 +210,59 @@ def session_lines():
             yield from cli_lines(f"session.{name}", argv, tmp)
 
 
-def main() -> int:
-    print(f"lrpulse from {Path(lrpulse.__file__).parent}", file=sys.stderr)
+def output_lines():
+    """(label, parts) of every output, in the order the lines are printed."""
     for name, sch in schedules():
-        lines = list(schedule_lines(name, sch))
+        yield from schedule_lines(name, sch)
         if name in ("a", "c", "lambda"):
-            lines += analytic_lines(name, sch)
-        for label, value in lines:
-            print(label, value)
-    for label, value in [*readme_lines(), *session_lines()]:
-        print(label, value)
+            yield from analytic_lines(name, sch)
+    yield from readme_lines()
+    yield from session_lines()
+
+
+def compare(before: str, after: str) -> None:
+    """Print `name max|delta| max|before|` for each array-valued line whose
+    arrays differ between two --npz files, over all of the line's arrays
+    (max|delta| is inf where shapes differ); a line in one file only is
+    listed as such."""
+    moved = {}
+    with np.load(before) as b, np.load(after) as a:
+        for key in sorted(set(b.files) | set(a.files)):
+            name = key.rsplit("/", 1)[0]
+            if key not in a.files or key not in b.files:
+                moved[name] = None
+            elif moved.get(name, ()) is not None and not np.array_equal(
+                    b[key], a[key], equal_nan=True):
+                x, y = b[key], a[key]
+                diff = np.max(np.abs(y - x), initial=0.0) if x.shape == y.shape \
+                    else np.inf
+                d0, s0 = moved.get(name, (0.0, 0.0))
+                moved[name] = (max(d0, diff), max(s0, np.max(np.abs(x), initial=0.0)))
+    for name, value in moved.items():
+        print(name, "in one file only" if value is None
+              else f"{value[0]:.3g} {value[1]:.3g}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--npz", metavar="PATH",
+                    help="also save the arrays behind the array-valued lines")
+    ap.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                    help="compare two --npz files instead of hashing")
+    args = ap.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
+    print(f"lrpulse from {Path(lrpulse.__file__).parent}", file=sys.stderr)
+    arrays = {}
+    for label, parts in output_lines():
+        print(label, digest(*parts))
+        if args.npz:
+            arrays.update((f"{label}/{i}", np.asarray(part))
+                          for i, part in enumerate(parts)
+                          if not isinstance(part, (str, bytes)))
+    if args.npz:
+        np.savez(args.npz, **arrays)
     return 0
 
 

@@ -13,7 +13,7 @@ from lrpulse import (calibrate_strategy_c, carrier_singular_times,
                      solve_omega_T_for_A, solve_omega_T_for_B, strategy_a,
                      strategy_b, strategy_c, synthesize_general)
 from lrpulse import compare_with_analytic, ket, run_verification, synthesis
-from lrpulse.core import SQRT2, hamiltonian_entries, lr_phase_rate
+from lrpulse.core import _CHUNK, SQRT2, hamiltonian_entries, lr_phase_rate
 from lrpulse.errors import CalibrationError, SynthesisError
 from lrpulse.numerics import Bracket, find_root, integrate
 from lrpulse.synthesis import (KAPPA_SUP, _bessel_j0, _carrier_mean_sin2,
@@ -730,6 +730,15 @@ def strategy_schedules(rng):
             omega = rng.uniform(0.5, 4.0)
             sch = strategy_c(kappa * omega, omega, 3)
             yield sch, np.linspace(sch.t_start, sch.t_end, 20001)
+    # a and b at the amplitude cap, where beta reaches 0.8 and A's cos(beta)
+    # (taken from sin(beta)) is smallest
+    omega, t = 15.83 * np.pi, np.linspace(0.0, 1.0, 20001)
+    yield strategy_a(0.8, omega, 1.0), t
+    delta_t = 0.25 * np.pi / omega
+    tn = synthesis._nearest_carrier_zero(omega, t)
+    unpatched = t[(np.abs(t - tn) >= delta_t) | (tn <= 0.0) | (tn >= 1.0)]
+    for neglect_imag in (False, True):
+        yield strategy_b(0.8, omega, 1.0, delta_t, neglect_imag), unpatched
 
 
 class TestSamplers:
@@ -748,6 +757,36 @@ class TestSamplers:
             assert np.max(np.abs(h11 - (-omega + 2.0 * aux.epsilon_dot))) \
                 <= 1e-14 * omega
             assert h32 is h12 and h33 is h11
+
+    @pytest.mark.parametrize("neglect_imag", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("delta", [0.005, 0.01])
+    def test_b_patches_are_chords(self, delta, neglect_imag):
+        # inside each patch h12 is the chord of the singular quotient
+        # q(u) = -(2i fdot + omega sin 2f)/(2 sqrt2 cos(omega u)) between
+        # tn -+ delta_t, times the carrier; the times span more than three
+        # sampling chunks, and a patch straddles a chunk boundary
+        B, omega, T = 0.5, 11.34 * np.pi, 1.0
+        delta_t = delta * T
+        sch = strategy_b(B, omega, T, delta_t, neglect_imag)
+        t = np.linspace(0.0, T, 3 * _CHUNK + 123)
+        h12 = hamiltonian_entries(sch, t)[1]
+        f = lambda u: 0.5 * B * (1.0 - np.cos(2.0 * np.pi * u / T))
+        fdot = lambda u: np.pi * B / T * np.sin(2.0 * np.pi * u / T)
+        q = lambda u: -(2j * fdot(u) + omega * np.sin(2.0 * f(u))) \
+            / (2.0 * SQRT2 * np.cos(omega * u))
+        tn = (np.round(omega * t / np.pi - 0.5) + 0.5) * np.pi / omega
+        inside = (np.abs(t - tn) < delta_t) & (tn > 0.0) & (tn < T)
+        chunk = np.arange(t.size) // _CHUNK
+        assert np.any((np.diff(chunk) == 1) & inside[:-1] & inside[1:]
+                      & (np.diff(tn) == 0.0))
+        t, tn = t[inside], tn[inside]
+        lo, hi = q(tn - delta_t), q(tn + delta_t)
+        chord = lo + (hi - lo) * (t - (tn - delta_t)) / (2.0 * delta_t)
+        if neglect_imag:
+            chord = chord.real
+        scale = max(np.max(np.abs(lo)), np.max(np.abs(hi)))
+        assert np.max(np.abs(h12[inside] - chord * np.cos(omega * t))) \
+            <= 1e-12 * scale
 
 
 class TestSampleTimes:
