@@ -33,8 +33,14 @@ def ket(j: int) -> np.ndarray:
     return v
 
 
-def is_normalized(psi: np.ndarray) -> bool:
-    return abs(np.linalg.norm(psi) - 1.0) <= _NORM_TOL
+def _as_state(psi0) -> np.ndarray:
+    """psi0 as a complex array; ValueError unless it is a normalized 3-vector."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (3,):
+        raise ValueError(f"psi0 must be a 3-vector, not of shape {psi0.shape}")
+    if not abs(np.linalg.norm(psi0) - 1.0) <= _NORM_TOL:   # NaN too
+        raise ValueError("psi0 must be normalized")
+    return psi0
 
 
 @dataclass(frozen=True)
@@ -208,9 +214,7 @@ def analytic_evolution(aux_traj, psi0: np.ndarray, t, t0=None) -> np.ndarray:
     c_k = <phi_k(t0)|psi0> exp(-i theta_k(t0)) and then the phase theta_k(t)
     from the trajectory's phases, which the +1 and -1 branches share.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if not is_normalized(psi0):
-        raise ValueError("psi0 must be normalized")
+    psi0 = _as_state(psi0)
     t0 = aux_traj.t_start if t0 is None else t0
     _check_in_window(aux_traj, "trajectory domain", np.append(t, t0))
     pm, zero = (np.exp(1j * (theta - theta0)) for theta, theta0

@@ -21,7 +21,10 @@ trajectories: the PulseSchedule.sample tuple, each field called alone and the
 Hamiltonian entries on 20,001 times (plus, for the general schedules, the
 carrier zeros and times just beside them), the propagate states, times and
 norms, and the run_verification JSON; analytic_evolution for a, c and
-lambda; and every file, stdout, stderr and exit code of the README command
+lambda; the propagate states, times and norms of runs long enough that
+propagate samples H in many groups of rows (strategy a at A = 0.2 and
+omega*T = 179.04 pi, c at 20,000 and lambda at 100,000 steps per period, and
+a schedule whose pump and Stokes differ at one late time only); and every file, stdout, stderr and exit code of the README command
 block, run in-process in a temporary directory, and of each SESSIONS run,
 run in-process in a temporary directory of its own with its config file, if
 any, as cfg.json: config keys and flags together, defaults and the errors of
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -120,6 +124,37 @@ def schedule_lines(name, sch):
                                 report.populations, str(report.steps))
     result = run_verification(sch)
     yield f"{name}.run_verification", (json.dumps(result, sort_keys=True),)
+
+
+def late_disagreement_schedule():
+    """The schedule of test_propagate.late_disagreement_schedule: strategy C
+    over 6 periods, Stokes 1.5 times the pump at one late half-step of a run
+    at 2000 steps per period, equal to it elsewhere."""
+    sch = strategy_c(0.3396, 1.0, 6)
+    dt = (sch.t_end - sch.t_start) / 12000
+    t_apart = sch.t_start + 0.5 * dt * (20 * 700 + 17)
+
+    def omega_s(t):
+        omega_p = sch.Omega_p(t)
+        return np.where(np.abs(t - t_apart) < 0.25 * dt, 1.5 * omega_p, omega_p)
+
+    return dataclasses.replace(sch, Omega_s=omega_s)
+
+
+def long_runs():
+    """(name, schedule, steps per carrier period) of each long run."""
+    yield "a_0.2", strategy_a(0.2, 179.04 * np.pi, 1.0), 2000
+    yield "c", strategy_c(0.3, 1.0, 2), 20000
+    yield "lambda", synthesize_general(lambda_trajectory(), 2 * np.pi), 100000
+    yield "late_disagreement", late_disagreement_schedule(), 2000
+
+
+def long_run_lines():
+    for name, sch, spp in long_runs():
+        report = propagate(sch, ket(1), PropagationConfig(
+            steps_per_carrier_period=spp, record_states=True))
+        yield f"long.{name}.propagate", (report.times, report.states,
+                                         report.norms, str(report.steps))
 
 
 def analytic_lines(name, sch):
@@ -216,6 +251,7 @@ def output_lines():
         yield from schedule_lines(name, sch)
         if name in ("a", "c", "lambda"):
             yield from analytic_lines(name, sch)
+    yield from long_run_lines()
     yield from readme_lines()
     yield from session_lines()
 

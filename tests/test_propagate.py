@@ -5,6 +5,7 @@ import functools
 import json
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,27 @@ class TestPropagate:
                 run(ket(1) * (1 + 5e-9))
             run(ket(1) * (1 + 5e-10))
 
+    @pytest.mark.parametrize("psi0", [[1.0, 0.0], [[1.0, 0.0, 0.0]],
+                                      [1.0, 0.0, 0.0, 0.0]],
+                             ids=["(2,)", "(1, 3)", "(4,)"])
+    def test_psi0_must_be_a_3_vector(self, psi0):
+        # normalized, but no state of the three levels: both functions name
+        # its shape before H or the trajectory is sampled (a sample fails)
+        def unsampled(t):
+            pytest.fail("sampled before psi0 was checked")
+
+        sch = strategy_c(0.3, 1.0, 1)
+        sch = dataclasses.replace(sch, Omega_p=unsampled, Omega_s=unsampled,
+                                  Delta_p=unsampled, Delta_s=unsampled,
+                                  trajectory=dataclasses.replace(
+                                      sch.trajectory, at=unsampled,
+                                      phases=unsampled))
+        shape = re.escape(str(np.shape(psi0)))
+        with pytest.raises(ValueError, match=f"3-vector, not of shape {shape}"):
+            propagate(sch, psi0)
+        with pytest.raises(ValueError, match=f"3-vector, not of shape {shape}"):
+            analytic_evolution(sch.trajectory, psi0, sch.t_end)
+
     def test_non_finite_envelope_rejected(self):
         base = zero_schedule()
         bad = PulseSchedule(
@@ -112,6 +134,31 @@ class TestPropagate:
         t_reported = float(str(info.value).split("t=")[1].split("(")[-1]
                            .rstrip(")"))
         assert t_reported == starts[0]
+
+    @pytest.mark.parametrize("cells", [[(900, 19), (300, 19)],
+                                       [(700, 3), (40, 15)]],
+                             ids=["last_group", "earlier_time_in_later_group"])
+    def test_non_finite_error_names_earliest_time_in_any_group(self, cells):
+        # 12,000 steps of 1/2000 in blocks of L = 10: a (20, 1201) grid of
+        # half-steps, whose rows are sampled in groups 0-5, 6-11, 12-17 and
+        # 18-19; NaN at row r of column c, half-step 20c + r, for each (c, r):
+        # only in the last group, or in the first and third groups with the
+        # earlier time in the third
+        base = zero_schedule(omega=TWO_PI, n_periods=6)
+        dt = (base.t_end - base.t_start) / 12000
+        bad = [base.t_start + 0.5 * dt * (20 * c + r) for c, r in cells]
+
+        def omega_p(t):
+            t = np.asarray(t, dtype=float)
+            nan = np.zeros(t.shape, dtype=bool)
+            for t_bad in bad:
+                nan |= np.abs(t - t_bad) < 0.25 * dt
+            return np.where(nan, np.nan, base.Omega_p(t))
+
+        with pytest.raises(PropagationError) as info:
+            propagate(dataclasses.replace(base, Omega_p=omega_p), ket(1),
+                      PropagationConfig(steps_per_carrier_period=2000))
+        assert float(str(info.value).split("t=")[1]) == min(bad)
 
     def test_non_finite_error_prints_plain_float(self):
         base = zero_schedule()
@@ -258,6 +305,57 @@ def test_decoupling_is_decided_by_value():
         assert np.array_equal(shared.states, apart.states)
         assert np.array_equal(shared.norms, apart.norms)
     assert shared.max_p2 == apart.max_p2 == 0.0
+
+
+def late_disagreement_schedule():
+    """Strategy C over 6 periods, Stokes equal to the pump except at one time.
+
+    At 2000 steps per period the run takes 12,000 steps in blocks of L = 10,
+    on a (20, 1201) grid of half-steps sampled in groups of rows 0-5, 6-11,
+    12-17 and 18-19; the time is row 17 of block 700, in the third group.
+    """
+    sch = strategy_c(0.3396, 1.0, 6)
+    dt = (sch.t_end - sch.t_start) / 12000
+    t_apart = sch.t_start + 0.5 * dt * (20 * 700 + 17)
+
+    def omega_s(t):
+        omega_p = sch.Omega_p(t)
+        return np.where(np.abs(t - t_apart) < 0.25 * dt, 1.5 * omega_p, omega_p)
+
+    return dataclasses.replace(sch, Omega_s=omega_s)
+
+
+def test_late_disagreement_restarts_on_the_3x3_block():
+    # the first groups agree and the split runs until the third; the run
+    # then restarts on the one 3x3 block, which leaks the dark state
+    # (|1> - |3>)/sqrt2 into |2> at the one time the pump and Stokes differ,
+    # where the split would keep |2> empty to the last bit
+    sch = late_disagreement_schedule()
+    dark = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+    cfg = PropagationConfig(steps_per_carrier_period=2000, record_states=True)
+    report = propagate(sch, dark, cfg)
+    times, states = scalar_rk4(sch, dark, cfg)
+    assert np.array_equal(report.times, times)
+    assert np.max(np.abs(report.states - states)) <= 1e-12
+    assert report.max_p2 > 0
+
+
+@pytest.mark.parametrize("spp,bound_mib", [(2000, 6), (8000, 12)])
+def test_memory_grows_with_blocks_not_steps(spp, bound_mib):
+    # A = 0.2 takes 179,040 steps at 2000 steps per period and 716,160 at
+    # 8000; H is held a group of rows at a time beside the propagators of
+    # 3581 and 7162 blocks, where the whole grid of samples peaked at 18.4
+    # and 69.6 MiB under tracemalloc
+    sch = strategy_a(0.2, 179.04 * np.pi, 1.0)
+    cfg = PropagationConfig(steps_per_carrier_period=spp)
+    tracemalloc.start()
+    try:
+        report = propagate(sch, ket(1), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.steps == 179040 * spp // 2000
+    assert peak <= bound_mib * 2**20
 
 
 @functools.cache
