@@ -21,7 +21,6 @@ SQRT2 = np.sqrt(2.0)
 
 _TINY = 1e-12
 _NORM_TOL = 1e-9
-_CHUNK = 8192   # flat times per sampling pass: its temporaries stay in cache
 
 
 def ket(j: int) -> np.ndarray:
@@ -90,23 +89,15 @@ def hamiltonian_entries(schedule, t):
     -omega - Delta. The energy reference is <2|H|2> = 0: every phase derived
     from H, such as the invariant-branch phases, is relative to it. Times
     beyond the schedule window (widened by a relative 1e-9) raise DomainError.
-    Fields come from schedule.sample, _CHUNK flat times at a time; a field
-    pump and Stokes share gives one entry: h32 is h12, or h33 is h11.
+    One schedule.sample call on t, as given, yields the fields; an array it
+    returns for pump and Stokes alike gives one entry: h32 is h12, h33 is h11.
     """
-    t = np.asarray(t, dtype=float, order="C")   # so t.reshape(-1) is a view
+    t = np.asarray(t, dtype=float)
     _check_in_window(schedule, "schedule domain", t)
-    h11, h12 = np.empty(t.shape), np.empty(t.shape, dtype=complex)
-    h32 = h12 if schedule.Omega_s is schedule.Omega_p else np.empty_like(h12)
-    h33 = h11 if schedule.Delta_s is schedule.Delta_p else np.empty_like(h11)
-    for lo in range(0, t.size, _CHUNK):
-        tc = t.reshape(-1)[lo:lo + _CHUNK]
-        op, os_, dp, ds, carrier = schedule.sample(tc)
-        np.multiply(op, carrier, out=h12.reshape(-1)[lo:lo + _CHUNK])
-        np.subtract(-schedule.omega, dp, out=h11.reshape(-1)[lo:lo + _CHUNK])
-        if h32 is not h12:
-            np.multiply(os_, carrier, out=h32.reshape(-1)[lo:lo + _CHUNK])
-        if h33 is not h11:
-            np.subtract(-schedule.omega, ds, out=h33.reshape(-1)[lo:lo + _CHUNK])
+    op, os_, dp, ds, carrier = schedule.sample(t)
+    h11, h12 = -schedule.omega - dp, op * carrier
+    h32 = h12 if os_ is op else os_ * carrier
+    h33 = h11 if ds is dp else -schedule.omega - ds
     return h11, h12, h32, h33
 
 

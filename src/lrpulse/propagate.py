@@ -7,14 +7,15 @@ A run records its state ten times per carrier period and after its last
 step, so identical schedules, psi0 and steps per period give bit-identical
 states. RK4 runs on the propagators of all step blocks at once, and one stage
 function gives H x to all four RK4 stages. H is sampled in groups of the rows
-the blocks read, each just before its steps, so a run holds a few rows of
-samples and the propagators: memory grows with the number of blocks, not of
-steps. A non-finite sample stops the run with an error naming the earliest
-bad time, whichever group holds it. Where pump and Stokes agree in value,
-RK4 runs on the dark state (|1> - |3>)/sqrt2 and the bright block apart
-(Morris-Shore); a group in which they differ restarts the run on the one 3x3
-block. The blocks between records are folded, and only records chained. The
-analytic comparisons start at the run's first state.
+the blocks read, one hamiltonian_entries call of at most _CHUNK times each,
+just before its steps, so a run holds a few rows of samples and the
+propagators: memory grows with the number of blocks, not of steps. A
+non-finite sample stops the run with an error naming the earliest bad time,
+whichever group holds it. Where pump and Stokes agree in value, RK4 runs on
+the dark state (|1> - |3>)/sqrt2 and the bright block apart (Morris-Shore);
+a group in which they differ restarts the run on the one 3x3 block. The
+blocks between records are folded, and only records chained. The analytic
+comparisons start at the run's first state.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import (_CHUNK, SQRT2, _as_state, analytic_evolution,
-                   hamiltonian_entries)
+from .core import SQRT2, _as_state, analytic_evolution, hamiltonian_entries
 from .errors import PropagationError
 from .synthesis import TWO_PI, PulseSchedule, write_table
+
+_CHUNK = 8192   # most times a group samples: its temporaries stay in cache
 
 
 @dataclass(frozen=True)

@@ -175,18 +175,19 @@ class PulseSchedule:
     def sample(self, t):
         """(Omega_p, Omega_s, Delta_p, Delta_s, cos(omega*t)), each of t's shape.
         cos(omega*t) is computed once and handed to each distinct sampler of a
-        _View (by type) on this omega; any other field is called on its own."""
+        _View (by type) on this omega; any other field is called on its own.
+        Fields reading one output of one call share one array (and H entry)."""
         t = np.asarray(t, dtype=float)
         calls, samples, carrier = {}, [], np.cos(self.omega * t)
         for fn in (self.Omega_p, self.Omega_s, self.Delta_p, self.Delta_s):
             view = isinstance(fn, _View) and fn.omega == self.omega
             key = id(fn.sampler if view else fn)
-            if key not in calls:
-                calls[key] = fn.sampler(t, carrier) if view else fn(t)
-            samples.append(calls[key][fn.index] if view else calls[key])
-        samples.append(carrier)
-        return tuple(x if getattr(x, "shape", None) == t.shape
-                     else np.broadcast_to(x, t.shape) for x in samples)
+            if key not in calls:   # each output broadcast once, if not of t's shape
+                calls[key] = [x if getattr(x, "shape", None) == t.shape
+                              else np.broadcast_to(x, t.shape)
+                              for x in (fn.sampler(t, carrier) if view else (fn(t),))]
+            samples.append(calls[key][fn.index if view else 0])
+        return (*samples, carrier)
 
     def sample_times(self, samples_per_period: int = 200) -> np.ndarray:
         """At least 3 uniform times spanning the domain; raises ValueError
@@ -655,7 +656,12 @@ def strategy_c(Omega0: float, omega: float, n_periods: int) -> PulseSchedule:
         raise ValueError("n_periods must be at least 1")
     kappa = Omega0 / omega
     t_start = 0.5 * np.pi / omega
-    t_end = t_start + n_periods * TWO_PI / omega
+    # from 2**1023 on n_periods * 2*pi is inf, and a larger int has no float
+    with np.errstate(over="ignore"):
+        t_end = t_start + (n_periods * TWO_PI / omega if n_periods < 2 ** 1023 else np.inf)
+    if not np.isfinite(t_end):
+        raise ValueError("n_periods is too large for omega: the window end is "
+                         "not a finite float")
 
     def sample(t, c):
         s = np.sin(omega * t)

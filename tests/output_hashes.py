@@ -19,9 +19,10 @@ It hashes, for strategies a, b and c, the lambda schedule of
 test_synthesis.lambda_trajectory and synthesize_general of a's and c's
 trajectories: the PulseSchedule.sample tuple, each field called alone and the
 Hamiltonian entries on 20,001 times (plus, for the general schedules, the
-carrier zeros and times just beside them), the propagate states, times and
-norms, and the run_verification JSON; analytic_evolution for a, c and
-lambda; the propagate states, times and norms of runs long enough that
+carrier zeros and times just beside them), the Hamiltonian entries at two
+scalar times and on a (3, 8233) grid of more than three 8192-time sampling
+groups, the propagate states, times and norms, and the run_verification
+JSON; analytic_evolution for a, c and lambda; the propagate states, times and norms of runs long enough that
 propagate samples H in many groups of rows (strategy a at A = 0.2 and
 omega*T = 179.04 pi, c at 20,000 and lambda at 100,000 steps per period, and
 a schedule whose pump and Stokes differ at one late time only); and every file, stdout, stderr and exit code of the README command
@@ -119,6 +120,10 @@ def schedule_lines(name, sch):
         yield f"{name}.{field}", (getattr(sch, field)(t),)
         yield f"{name}.{field}.scalar", (getattr(sch, field)(float(t[7])),)
     yield f"{name}.hamiltonian_entries", hamiltonian_entries(sch, t)
+    yield f"{name}.hamiltonian_entries.scalar", (
+        *hamiltonian_entries(sch, float(t[7])), *hamiltonian_entries(sch, float(t[-1])))
+    grid = np.linspace(sch.t_start, sch.t_end, 3 * 8192 + 123).reshape(3, -1)
+    yield f"{name}.hamiltonian_entries.grid", hamiltonian_entries(sch, grid)
     report = propagate(sch, ket(1), PropagationConfig(record_states=True))
     yield f"{name}.propagate", (report.times, report.states, report.norms,
                                 report.populations, str(report.steps))

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -583,6 +585,23 @@ class TestNonFiniteInputs:
                      "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err
+        assert not out.exists()
+
+    def test_n_periods_beyond_the_float_range(self, tmp_path):
+        # the window end n_periods * 2*pi/omega has no float: the one error
+        # line of the installed command, not an OverflowError traceback
+        out = tmp_path / "o.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "lrpulse.cli", "synth", "--strategy", "c",
+             "--Omega0-over-omega", "0.1", "--n-periods", "1" + "0" * 400,
+             "--out", str(out)], env=env, capture_output=True, text=True)
+        assert run.returncode == EXIT_VALIDATION and run.stdout == ""
+        assert run.stderr.splitlines() == [
+            "error: n_periods is too large for omega: the window end is not "
+            "a finite float"]
         assert not out.exists()
 
     @pytest.mark.parametrize("count", ["0", "-5"])

@@ -14,8 +14,10 @@ from lrpulse import (AuxParams, PropagationConfig, PulseSchedule,
                      reduced_trajectory, strategy_a, strategy_b, strategy_c,
                      synthesize_general)
 from lrpulse.cli import _envelope_summary
-from lrpulse.core import _CHUNK, hamiltonian_entries
+from lrpulse.core import hamiltonian_entries
 from lrpulse.errors import DomainError, SingularityError
+from lrpulse.propagate import _CHUNK
+from lrpulse.synthesis import _View
 from lrpulse.verify import lr_phase_rates_numeric
 from test_synthesis import lambda_trajectory
 
@@ -100,25 +102,53 @@ class TestHamiltonian:
 
 class TestSamplingRule:
     # strategies hand pump and Stokes views of one sampler; hamiltonian_entries
-    # calls it once a chunk, and calls every closure that is not a view
+    # makes one schedule.sample call on t as given, which calls that sampler
+    # once, and calls every closure that is not a view
     SCHEDULES = {"a": lambda: strategy_a(0.5, 30.0 * np.pi, 1.0),
                  "b": lambda: strategy_b(0.5, 11.34 * np.pi, 1.0, 0.01),
                  "c": lambda: strategy_c(0.3, 1.0, 2)}
+    FIELDS = ("Omega_p", "Omega_s", "Delta_p", "Delta_s")
+
+    @classmethod
+    def views(cls, sch, sampler):
+        """sch with one new _View of sampler per field, on the same outputs."""
+        return dataclasses.replace(sch, **{
+            f: _View(sampler, getattr(sch, f).index, sch.omega) for f in cls.FIELDS})
 
     @pytest.mark.parametrize("strategy", SCHEDULES)
     def test_chunks_equal_one_evaluation(self, strategy):
-        # a 2-D grid of three full chunks and a partial fourth
+        # a 2-D grid of more than three of propagate's sampling groups is
+        # one sampler call on the grid itself
         sch = self.SCHEDULES[strategy]()
         n = 3 * _CHUNK + 123
         t = np.linspace(sch.t_start, sch.t_end, n).reshape(3, n // 3)
+        calls = []
+
+        def counted(u, c):
+            calls.append(u.shape)
+            return sch.Omega_p.sampler(u, c)
+
         carrier = np.cos(sch.omega * t.ravel())
         envelope, detuning = sch.Omega_p.sampler(t.ravel(), carrier)
-        h11, h12, h32, h33 = hamiltonian_entries(sch, t)
+        h11, h12, h32, h33 = hamiltonian_entries(self.views(sch, counted), t)
+        assert calls == [t.shape]
         assert h12.shape == h11.shape == t.shape
         assert np.max(np.abs(h12.ravel() - envelope * carrier)) <= 1e-15 * sch.omega
         assert np.max(np.abs(h11.ravel() + sch.omega + detuning)) \
             <= 1e-15 * sch.omega
         assert h32 is h12 and h33 is h11
+
+    @pytest.mark.parametrize("strategy", SCHEDULES)
+    def test_distinct_views_of_one_output_give_one_entry(self, strategy):
+        # PulseSchedule.sample, not the fields' identity, decides the sharing
+        sch = self.SCHEDULES[strategy]()
+        apart = self.views(sch, sch.Omega_p.sampler)
+        assert apart.Omega_s is not apart.Omega_p and apart.Delta_s is not apart.Delta_p
+        t = sch.sample_times(50)
+        got = hamiltonian_entries(apart, t)
+        assert got[2] is got[1] and got[3] is got[0]
+        for x, y in zip(got, hamiltonian_entries(sch, t), strict=True):
+            assert np.array_equal(x, y)
 
     def test_replaced_closure_is_sampled(self):
         sch = strategy_a(0.5, 30.0 * np.pi, 1.0)
@@ -217,6 +247,15 @@ class TestScheduleSample:
         assert np.all(op == 0.3 + 0.1j) and np.all(os_ == 0.2 - 0.05j)
         assert np.all(dp == -0.4) and np.all(ds == -0.4)
         assert np.array_equal(carrier, np.cos(10.0 * t))
+
+    def test_shared_constant_closure_is_one_array(self):
+        # one field twice is one call, broadcast once: one sample, one entry
+        delta = lambda t: -0.4
+        sch = dataclasses.replace(simple_schedule(), Delta_p=delta, Delta_s=delta)
+        t = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        _, _, dp, ds, _ = sch.sample(t)
+        h11, _, _, h33 = hamiltonian_entries(sch, t)
+        assert dp is ds and h33 is h11 and np.all(h11 == -10.0 - (-0.4))
 
     def test_samples_of_t_shape_pass_through(self):
         sch = strategy_c(0.3, 1.0, 2)

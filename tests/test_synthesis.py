@@ -13,9 +13,10 @@ from lrpulse import (calibrate_strategy_c, carrier_singular_times,
                      solve_omega_T_for_A, solve_omega_T_for_B, strategy_a,
                      strategy_b, strategy_c, synthesize_general)
 from lrpulse import compare_with_analytic, ket, run_verification, synthesis
-from lrpulse.core import _CHUNK, SQRT2, hamiltonian_entries, lr_phase_rate
+from lrpulse.core import SQRT2, hamiltonian_entries, lr_phase_rate
 from lrpulse.errors import CalibrationError, SynthesisError
 from lrpulse.numerics import Bracket, find_root, integrate
+from lrpulse.propagate import _CHUNK
 from lrpulse.synthesis import (KAPPA_SUP, _bessel_j0, _carrier_mean_sin2,
                                _deviation_constant)
 from lrpulse.verify import (ANALYTIC_TOL, RESIDUAL_TOL_OVER_OMEGA, SLOPE_TOL,
@@ -532,6 +533,13 @@ class TestStrategyC:
                                match=f"n_periods must be an integer, not {bad!r}"):
                 strategy_c(0.3, 1.0, bad)
 
+    @pytest.mark.parametrize("n_periods", [10 ** 400, 10 ** 308],
+                             ids=["beyond-float", "end-overflows"])
+    def test_window_end_must_be_finite(self, n_periods):
+        # 10**400 has no float, and 10**308 periods end beyond the largest
+        with pytest.raises(ValueError, match="n_periods is too large"):
+            strategy_c(0.1, 1.0, n_periods)
+
 
 class TestCalibration:
     def test_omega_T_spot_values(self):
@@ -763,22 +771,26 @@ class TestSamplers:
     def test_b_patches_are_chords(self, delta, neglect_imag):
         # inside each patch h12 is the chord of the singular quotient
         # q(u) = -(2i fdot + omega sin 2f)/(2 sqrt2 cos(omega u)) between
-        # tn -+ delta_t, times the carrier; the times span more than three
-        # sampling chunks, and a patch straddles a chunk boundary
+        # tn -+ delta_t, times the carrier; the times span more than three of
+        # propagate's sampling groups, and two calls split inside a patch give
+        # the bits of one
         B, omega, T = 0.5, 11.34 * np.pi, 1.0
         delta_t = delta * T
         sch = strategy_b(B, omega, T, delta_t, neglect_imag)
         t = np.linspace(0.0, T, 3 * _CHUNK + 123)
-        h12 = hamiltonian_entries(sch, t)[1]
+        whole = hamiltonian_entries(sch, t)
+        h12 = whole[1]
         f = lambda u: 0.5 * B * (1.0 - np.cos(2.0 * np.pi * u / T))
         fdot = lambda u: np.pi * B / T * np.sin(2.0 * np.pi * u / T)
         q = lambda u: -(2j * fdot(u) + omega * np.sin(2.0 * f(u))) \
             / (2.0 * SQRT2 * np.cos(omega * u))
         tn = (np.round(omega * t / np.pi - 0.5) + 0.5) * np.pi / omega
         inside = (np.abs(t - tn) < delta_t) & (tn > 0.0) & (tn < T)
-        chunk = np.arange(t.size) // _CHUNK
-        assert np.any((np.diff(chunk) == 1) & inside[:-1] & inside[1:]
-                      & (np.diff(tn) == 0.0))
+        within = np.flatnonzero(inside[:-1] & inside[1:] & (np.diff(tn) == 0.0))
+        k = within[len(within) // 2] + 1   # t[k - 1] and t[k] share a patch
+        for x, head, rest in zip(whole, hamiltonian_entries(sch, t[:k]),
+                                 hamiltonian_entries(sch, t[k:]), strict=True):
+            assert np.array_equal(x, np.concatenate([head, rest]))
         t, tn = t[inside], tn[inside]
         lo, hi = q(tn - delta_t), q(tn + delta_t)
         chord = lo + (hi - lo) * (t - (tn - delta_t)) / (2.0 * delta_t)
