@@ -166,6 +166,9 @@ class PulseSchedule:
 
     def __post_init__(self):
         _check_carrier(self.omega)
+        if not -np.inf < self.t_start <= self.t_end < np.inf:
+            raise ValueError(f"schedule window [{self.t_start}, {self.t_end}] must "
+                             "have finite ends with t_start <= t_end")
 
     def header(self) -> dict:
         return {"schema_version": 1, "omega": self.omega,
@@ -312,9 +315,11 @@ def carrier_singular_times(omega: float, t_start: float, t_end: float) -> np.nda
     return ts[(ts > t_start) & (ts < t_end)]
 
 
-def _nearest_carrier_zero(omega: float, t):
-    """The zero of cos(omega*t) nearest to each t."""
-    return (np.round(omega * t / np.pi - 0.5) + 0.5) * np.pi / omega
+def _carrier_zero(omega: float, t):
+    """The index n = round(omega*t/pi - 1/2), as a float, of the zero
+    (n + 1/2)*pi/omega of cos(omega*t) nearest to each t, and that zero."""
+    n = np.round(omega * t / np.pi - 0.5)
+    return n, (n + 0.5) * np.pi / omega
 
 
 @dataclass(frozen=True)
@@ -380,7 +385,7 @@ def synthesize_general(aux: AuxiliaryTrajectory, omega: float) -> PulseSchedule:
             envelopes = np.asarray(np.stack(nums) / c, dtype=complex)
         near = np.abs(c) < _CARRIER_ZERO_TOL
         if np.any(near):   # the limit is evaluated beside carrier zeros only
-            tz = _nearest_carrier_zero(omega, t[near])
+            tz = _carrier_zero(omega, t[near])[1]
             h = 1e-6 * TWO_PI / omega
             envelopes[:, near] = central_diff(numerators, tz, h) \
                 / (-omega * np.sin(omega * tz))
@@ -581,18 +586,18 @@ def strategy_b(B: float, omega: float, T: float, delta_t: float,
             np.divide(-2.0 * fdot(t), denominator, out=val.imag)
         return val
 
+    # the patch table: the quotient at both patch ends of zero n, singulars[n]
+    ends = np.stack([singulars - delta_t, singulars + delta_t])
+    lo, hi = quotient(ends, f(ends), np.cos(omega * ends))
+
     def sample(t, c):   # the window f once a time
         fv = f(t)
         val = quotient(t, fv, c)
-        tn = _nearest_carrier_zero(omega, t)
-        inside = (np.abs(t - tn) < delta_t) & (tn > 0.0) & (tn < T)
-        if np.any(inside):   # the patch ends once per carrier zero, inside only
-            t_in, tn = t[inside], tn[inside]
-            zeros, which = np.unique(tn, return_inverse=True)
-            ends = np.concatenate([zeros - delta_t, zeros + delta_t])
-            ends = quotient(ends, f(ends), np.cos(omega * ends))
-            lo, hi = ends[:zeros.size][which], ends[zeros.size:][which]
-            val[inside] = lo + (hi - lo) / (2.0 * delta_t) * (t_in - tn + delta_t)
+        n, tn = _carrier_zero(omega, t)
+        inside = (np.abs(t - tn) < delta_t) & (n >= 0) & (n < singulars.size)
+        if np.any(inside):   # the chord of zero n between its table ends
+            t_in, tn, n = t[inside], tn[inside], n[inside].astype(int)
+            val[inside] = lo[n] + (hi[n] - lo[n]) / (2.0 * delta_t) * (t_in - tn + delta_t)
         if neglect_imag:
             val.imag = 0.0
         return val, -2.0 * omega * np.sin(fv) ** 2

@@ -11,7 +11,7 @@ from .core import (hamiltonian_at, invariance_residual, invariant_at,
                    invariant_eigenvectors, ket)
 from .numerics import central_diff
 from .propagate import PropagationConfig, compare_with_analytic
-from .synthesis import TWO_PI, PulseSchedule
+from .synthesis import TWO_PI, PulseSchedule, _carrier_zero
 
 EIGENVALUE_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-12
@@ -27,11 +27,13 @@ _PHASE_SAMPLES = 20
 def _interior_times(schedule: PulseSchedule, ts: np.ndarray,
                     margin: float) -> np.ndarray:
     """The times ts outside any patch window (half-width from the schedule's
-    own T) widened by margin; raises ValueError if there are none."""
-    patched = np.asarray(schedule.params.get("singular_times", []))
+    own T) widened by margin, each checked against its nearest listed carrier
+    zero (all are kept if none is listed); raises ValueError if none is kept."""
+    zeros = np.asarray(schedule.params.get("singular_times") or [np.inf])
     delta_t = (schedule.params.get("delta_t_over_T", 0.0)
                * schedule.params.get("omega_T", 0.0) / schedule.omega)
-    kept = ts[np.all(np.abs(ts[:, None] - patched) > delta_t + margin, axis=-1)]
+    n = np.clip(_carrier_zero(schedule.omega, ts)[0], 0, zeros.size - 1)
+    kept = ts[np.abs(ts - zeros[n.astype(int)]) > delta_t + margin]
     if not kept.size:
         raise ValueError("no sample time lies outside the patch windows of "
                          f"half-width delta_t = {delta_t:.6g}")

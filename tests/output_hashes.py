@@ -22,7 +22,9 @@ Hamiltonian entries on 20,001 times (plus, for the general schedules, the
 carrier zeros and times just beside them), the Hamiltonian entries at two
 scalar times and on a (3, 8233) grid of more than three 8192-time sampling
 groups, the propagate states, times and norms, and the run_verification
-JSON; analytic_evolution for a, c and lambda; the propagate states, times and norms of runs long enough that
+JSON; for b and b_neglect_imag, the Hamiltonian entries at each carrier zero
+and patch end, and for b the run_verification JSON with its own schedule
+file; analytic_evolution for a, c and lambda; the propagate states, times and norms of runs long enough that
 propagate samples H in many groups of rows (strategy a at A = 0.2 and
 omega*T = 179.04 pi, c at 20,000 and lambda at 100,000 steps per period, and
 a schedule whose pump and Stokes differ at one late time only); and every file, stdout, stderr and exit code of the README command
@@ -55,8 +57,8 @@ from lrpulse import cli
 from lrpulse.core import analytic_evolution, hamiltonian_entries, ket
 from lrpulse.propagate import PropagationConfig, propagate
 from lrpulse.synthesis import (carrier_singular_times, general_trajectory,
-                               strategy_a, strategy_b, strategy_c,
-                               synthesize_general)
+                               load_schedule_csv, strategy_a, strategy_b,
+                               strategy_c, synthesize_general)
 from lrpulse.verify import run_verification
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -129,6 +131,22 @@ def schedule_lines(name, sch):
                                 report.populations, str(report.steps))
     result = run_verification(sch)
     yield f"{name}.run_verification", (json.dumps(result, sort_keys=True),)
+
+
+def patch_lines(name, sch):
+    """A strategy-B schedule's Hamiltonian entries at each carrier zero tn of
+    its window and at both patch ends tn -+ delta_t; for b, also
+    run_verification with the schedule file that write_csv gives."""
+    zeros = np.asarray(sch.params["singular_times"])
+    delta_t = sch.params["delta_t_over_T"] * (sch.t_end - sch.t_start)
+    t = np.concatenate([zeros, zeros - delta_t, zeros + delta_t])
+    yield f"{name}.hamiltonian_entries.patches", hamiltonian_entries(sch, t)
+    if name == "b":
+        with tempfile.TemporaryDirectory() as tmp:
+            sch.write_csv(Path(tmp, "b.csv"))
+            csv = load_schedule_csv(Path(tmp, "b.csv"))[1]
+        result = run_verification(sch, csv)
+        yield f"{name}.run_verification.csv", (json.dumps(result, sort_keys=True),)
 
 
 def late_disagreement_schedule():
@@ -256,6 +274,8 @@ def output_lines():
         yield from schedule_lines(name, sch)
         if name in ("a", "c", "lambda"):
             yield from analytic_lines(name, sch)
+        if sch.strategy == "b":
+            yield from patch_lines(name, sch)
     yield from long_run_lines()
     yield from readme_lines()
     yield from session_lines()

@@ -1,6 +1,7 @@
 """Tests for trajectories, inverse engineering, strategies, and calibration."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from lrpulse.core import SQRT2, hamiltonian_entries, lr_phase_rate
 from lrpulse.errors import CalibrationError, SynthesisError
 from lrpulse.numerics import Bracket, find_root, integrate
 from lrpulse.propagate import _CHUNK
-from lrpulse.synthesis import (KAPPA_SUP, _bessel_j0, _carrier_mean_sin2,
-                               _deviation_constant)
+from lrpulse.synthesis import (KAPPA_SUP, PulseSchedule, _bessel_j0,
+                               _carrier_mean_sin2, _deviation_constant)
 from lrpulse.verify import (ANALYTIC_TOL, RESIDUAL_TOL_OVER_OMEGA, SLOPE_TOL,
                             check_invariance, check_phase_consistency)
 
@@ -461,6 +462,19 @@ class TestStrategyB:
         with pytest.raises(ValueError, match="delta_t must lie in"):
             strategy_b(0.5, 30.0, 1.0, np.nan)
 
+    def test_no_carrier_zero_no_patch(self):
+        # omega*T = 1 < pi/2: the patch table is empty, and the envelope is
+        # the quotient -(omega sin 2f + 2i fdot)/(2 sqrt2 cos(omega t))
+        # everywhere, up to the window ends
+        B, omega = 0.5, 1.0
+        sch = strategy_b(B, omega, 1.0, 0.1)
+        t = sch.sample_times(200)
+        f = 0.5 * B * (1.0 - np.cos(2.0 * np.pi * t))
+        fdot = np.pi * B * np.sin(2.0 * np.pi * t)
+        q = -(2j * fdot + omega * np.sin(2.0 * f)) \
+            / (2.0 * SQRT2 * np.cos(omega * t))
+        assert np.max(np.abs(sch.Omega_p(t) - q)) <= 1e-15 * np.max(np.abs(q))
+
     @pytest.mark.parametrize("omega,T", [(0.0, 1.0), (-30.0, 1.0),
                                          (30.0, 0.0), (30.0, -1.0)])
     def test_non_positive_omega_or_T(self, omega, T):
@@ -728,7 +742,7 @@ def strategy_schedules(rng):
         t = np.linspace(0.0, T, 20001)
         yield strategy_a(rng.uniform(0.05, 0.8), omega, T), t
         delta_t = rng.uniform(0.05, 0.95) * 0.5 * np.pi / omega
-        tn = synthesis._nearest_carrier_zero(omega, t)
+        tn = synthesis._carrier_zero(omega, t)[1]
         unpatched = t[(np.abs(t - tn) >= delta_t) | (tn <= 0.0) | (tn >= T)]
         for neglect_imag in (False, True):
             yield strategy_b(rng.uniform(0.05, 0.8), omega, T, delta_t,
@@ -743,7 +757,7 @@ def strategy_schedules(rng):
     omega, t = 15.83 * np.pi, np.linspace(0.0, 1.0, 20001)
     yield strategy_a(0.8, omega, 1.0), t
     delta_t = 0.25 * np.pi / omega
-    tn = synthesis._nearest_carrier_zero(omega, t)
+    tn = synthesis._carrier_zero(omega, t)[1]
     unpatched = t[(np.abs(t - tn) >= delta_t) | (tn <= 0.0) | (tn >= 1.0)]
     for neglect_imag in (False, True):
         yield strategy_b(0.8, omega, 1.0, delta_t, neglect_imag), unpatched
@@ -799,6 +813,30 @@ class TestSamplers:
         scale = max(np.max(np.abs(lo)), np.max(np.abs(hi)))
         assert np.max(np.abs(h12[inside] - chord * np.cos(omega * t))) \
             <= 1e-12 * scale
+
+
+class TestScheduleWindow:
+    # a schedule's window is checked when it is built, so also when
+    # dataclasses.replace narrows it
+    @pytest.mark.parametrize("t_start, t_end, shown", [
+        (0.0, np.inf, "[0.0, inf]"), (0.0, np.nan, "[0.0, nan]"),
+        (-np.inf, 1.0, "[-inf, 1.0]"), (0.5, 0.25, "[0.5, 0.25]")],
+        ids=["infinite", "nan", "infinite-start", "reversed"])
+    def test_rejected(self, t_start, t_end, shown):
+        sch = strategy_c(0.3, 1.0, 2)
+        match = f"^schedule window {re.escape(shown)} must have finite ends"
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(sch, t_start=t_start, t_end=t_end)
+        with pytest.raises(ValueError, match=match):
+            PulseSchedule(sch.omega, sch.Omega_p, sch.Omega_s, sch.Delta_p,
+                          sch.Delta_s, t_start, t_end, "c")
+
+    def test_empty_window_is_valid(self):
+        sch = strategy_c(0.3, 1.0, 2)
+        empty = dataclasses.replace(sch, t_start=sch.t_end)
+        assert empty.t_start == empty.t_end == sch.t_end
+        assert PulseSchedule(sch.omega, sch.Omega_p, sch.Omega_s, sch.Delta_p,
+                             sch.Delta_s, 0.5, 0.5, "c").t_end == 0.5
 
 
 class TestSampleTimes:
